@@ -108,6 +108,8 @@ ThreadPool::ThreadPool(unsigned nthreads)
 void
 ThreadPool::ensureWorkers()
 {
+    // Called with mtx held by the job-slot owner, so two outside
+    // callers never spawn workers concurrently.
     if (!workers.empty())
         return;
     workers.reserve(nThreads - 1);
@@ -200,14 +202,25 @@ ThreadPool::parallelForRaw(size_t n, void *ctx,
     }
     // The caller participates, so a job needs at most n - 1 helpers.
     size_t helpers = std::min<size_t>(nThreads - 1, n - 1);
-    if (helpers == 0) {
+    auto run_inline = [&] {
         for (size_t i = 0; i < n; ++i)
             fn(ctx, i);
+    };
+    if (helpers == 0) {
+        run_inline();
         return;
     }
-    ensureWorkers();
     {
-        std::lock_guard<std::mutex> lk(mtx);
+        std::unique_lock<std::mutex> lk(mtx);
+        // Another outside thread owns the one job slot: run this loop
+        // on the calling thread instead of overwriting its job. The
+        // determinism contract makes the result identical either way.
+        if (jobFn != nullptr) {
+            lk.unlock();
+            run_inline();
+            return;
+        }
+        ensureWorkers();
         jobFn = fn;
         jobCtx = ctx;
         jobN = n;
@@ -218,10 +231,12 @@ ThreadPool::parallelForRaw(size_t n, void *ctx,
         pending = static_cast<unsigned>(helpers);
         ++generation;
     }
-    // Wake only as many workers as there are helper slots; a worker
-    // re-entering its wait sees the bumped generation by itself.
-    for (size_t i = 0; i < helpers; ++i)
-        cvStart.notify_one();
+    // Wake every worker: the first `helpers` to see the new generation
+    // claim the slots and the rest go back to sleep. notify_one per
+    // slot is not enough — a helper that finishes its share before the
+    // last notify re-enters its wait and can absorb that notify, so a
+    // slot stays unclaimed and the join below never returns.
+    cvStart.notify_all();
     {
         ActivePoolScope scope(this);
         runShare();

@@ -20,6 +20,13 @@
  * NC_THREADS environment variable, then to the hardware concurrency.
  * A pool of size 1 spawns no threads at all and parallelFor() runs
  * inline, making the serial path zero-overhead.
+ *
+ * Shared callers: the pool has one job slot. Any number of outside
+ * threads may call parallelFor() on one pool at once (two models of
+ * one Engine compiling or running batches side by side); the first
+ * takes the slot and the workers, and a caller that finds the slot
+ * taken runs its whole loop inline on its own thread. By the
+ * determinism contract the results are the same either way.
  */
 
 #ifndef NC_COMMON_THREAD_POOL_HH
@@ -69,10 +76,11 @@ class ThreadPool
     /**
      * Run fn(i) for every i in [0, n) and block until all calls have
      * returned. The calling thread participates. Concurrent calls
-     * must touch disjoint state. Allocation-free: the callable is
-     * shared with the workers through a borrowed pointer + trampoline,
-     * never a std::function — safe because the call blocks until
-     * every worker is done with it.
+     * must touch disjoint state; a call that finds another outside
+     * thread's job in the slot runs inline. Allocation-free: the
+     * callable is shared with the workers through a borrowed pointer
+     * + trampoline, never a std::function — safe because the call
+     * blocks until every worker is done with it.
      *
      * Exceptions: a throwing task does not deadlock or terminate the
      * process. The first exception (by completion order) is captured,
@@ -123,6 +131,7 @@ class ThreadPool
     std::mutex mtx;
     std::condition_variable cvStart;
     std::condition_variable cvDone;
+    /// Current job's task; non-null exactly while the slot is taken.
     void (*jobFn)(void *, size_t) = nullptr;
     void *jobCtx = nullptr;
     size_t jobN = 0;

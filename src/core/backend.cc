@@ -187,7 +187,7 @@ class FunctionalBackend : public Backend
         nc_assert(layer.funcConv.has_value(),
                   "layer '%s' was not prepared for the functional "
                   "backend", layer.op.name().c_str());
-        return layer.funcConv->run(in, out_h, out_w,
+        return layer.funcConv->run(in, layer.weights, out_h, out_w,
                                    ctx.arrayOffset);
     }
 

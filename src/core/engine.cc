@@ -218,8 +218,10 @@ Engine::compile(const dnn::Network &net,
     // --- Pass A: validate the topology and build the per-layer and
     // per-stage program structure (no array placement yet). ---------
     Shape shape{m.inC, m.inH, m.inW};
-    unsigned layer_idx = 0;
     size_t max_branches = 1;
+    // Conv layers whose weights the parallel step after this walk
+    // prepares, each with the caller's bank (null = seeded).
+    std::vector<std::pair<size_t, const dnn::QWeights *>> convs;
 
     for (const auto &stage : net.stages) {
         mapping::StageConcatPlan scp = mapping::planStageConcat(stage);
@@ -290,6 +292,7 @@ Engine::compile(const dnn::Network &net,
 
                     // Weights: explicit bank, else deterministic
                     // seed.
+                    const dnn::QWeights *given = nullptr;
                     if (auto it = weights.find(op.name());
                         it != weights.end()) {
                         const dnn::QWeights &qw = it->second;
@@ -299,26 +302,9 @@ Engine::compile(const dnn::Network &net,
                                   "%ux%ux%ux%u, op wants %ux%ux%ux%u",
                                   co.name.c_str(), qw.m, qw.c, qw.r,
                                   qw.s, co.m, co.c, co.r, co.s);
-                        layer.weights = qw;
-                    } else {
-                        Rng rng(opts.weightSeed +
-                                0x9e3779b97f4a7c15ull *
-                                    (layer_idx + 1));
-                        layer.weights = dnn::randomQWeights(
-                            rng, co.m, co.c, co.r, co.s);
+                        given = &qw;
                     }
-
-                    // Mapping/tiling + the §IV-C transposed DRAM
-                    // image. stageCost() above already planned this
-                    // op internally for its cost; re-deriving the
-                    // plan here (cheap arithmetic, compile-time only)
-                    // keeps CostModel's interface unchanged while
-                    // exposing the per-layer artifact.
-                    layer.plan = mapping::planConv(co, geom);
-                    mapping::WeightLayout wl(co, layer.plan, geom);
-                    layer.dramImage = wl.dramImage(layer.weights);
-                    calibrateRequant(layer.weights, layer.requantMult,
-                                     layer.requantShift);
+                    convs.emplace_back(m.layers.size(), given);
                 } else if (op.isPool()) {
                     layer.poolPlan = mapping::planPool(op.pool, geom);
                 } else {
@@ -332,7 +318,6 @@ Engine::compile(const dnn::Network &net,
 
                 cbranch.layerIdx.push_back(m.layers.size());
                 m.layers.push_back(std::move(layer));
-                ++layer_idx;
             }
             cstage.branches.push_back(std::move(cbranch));
         }
@@ -355,6 +340,31 @@ Engine::compile(const dnn::Network &net,
                   "conv/fc layer of '%s'", name.c_str(),
                   net.name.c_str());
     }
+
+    // Per-layer weight preparation, fanned over the pool: the bank,
+    // the mapping/tiling plan, the §IV-C transposed DRAM image and
+    // the requant scalars. A seeded bank depends only on weightSeed
+    // and its layer index, so every artifact is identical at any
+    // thread count. stageCost() above already planned each op for
+    // its cost; re-deriving the plan here (cheap arithmetic) keeps
+    // CostModel's interface unchanged while exposing the artifact.
+    pool->parallelFor(convs.size(), [&](size_t t) {
+        auto [li, given] = convs[t];
+        CompiledLayer &layer = m.layers[li];
+        const dnn::ConvOp &co = layer.op.conv;
+        if (given) {
+            layer.weights = *given;
+        } else {
+            Rng rng(opts.weightSeed + 0x9e3779b97f4a7c15ull * (li + 1));
+            layer.weights =
+                dnn::randomQWeights(rng, co.m, co.c, co.r, co.s);
+        }
+        layer.plan = mapping::planConv(co, geom);
+        mapping::WeightLayout wl(co, layer.plan, geom);
+        layer.dramImage = wl.dramImage(layer.weights);
+        calibrateRequant(layer.weights, layer.requantMult,
+                         layer.requantShift);
+    });
 
     // --- Pass B + C: array placement and kernel preparation. ------
     // Shared with the runtime repair path, which re-places the plan

@@ -79,13 +79,16 @@ class Engine
      * calibration, mapping/tiling, transposed weight layout, and
      * per-layer program construction exactly once. @p weights names
      * filter banks by layer; layers without one get deterministic
-     * seeded random filters. The network must be non-empty.
-     * Functional backends execute whole multi-branch stages (branch
-     * outputs channel-concatenate; an eltwise tail merges with the
-     * shortcut branch or the stage input) and any conv shape
-     * mapping::planFunctionalConv can place — the broadcast-ISA conv
-     * path alone still requires the untransformed one-array mapping
-     * and whole-network residency.
+     * seeded random filters. The network must be non-empty. The
+     * per-layer weight preparation (bank, plan, DRAM image, requant
+     * scalars) fans out over the engine's pool with results identical
+     * at any thread count, and several threads may compile on one
+     * Engine at once. Functional backends execute whole multi-branch
+     * stages (branch outputs channel-concatenate; an eltwise tail
+     * merges with the shortcut branch or the stage input) and any
+     * conv shape mapping::planFunctionalConv can place — the
+     * broadcast-ISA conv path alone still requires the untransformed
+     * one-array mapping and whole-network residency.
      */
     CompiledModel compile(const dnn::Network &net,
                           const ModelWeights &weights = {}) const;

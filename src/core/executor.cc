@@ -60,8 +60,6 @@ Executor::prepareConv(const dnn::QWeights &w, unsigned stride,
     p.isResident = resident && p.groupBatches >= w.m;
     if (p.isResident)
         p.band = need;
-    else
-        p.weights = w; // streaming re-pins need the bank at run time
 
     // Materialize every band array up front: the parallel regions
     // (here and in run()) must not mutate the lazy array map.
@@ -154,7 +152,8 @@ Executor::PreparedConv::storeFilters(const dnn::QWeights &w,
 }
 
 std::vector<uint32_t>
-Executor::PreparedConv::run(const dnn::QTensor &in, unsigned &out_h,
+Executor::PreparedConv::run(const dnn::QTensor &in,
+                            const dnn::QWeights &w, unsigned &out_h,
                             unsigned &out_w, uint64_t array_offset)
 {
     const unsigned acc_bits = 24;
@@ -165,6 +164,9 @@ Executor::PreparedConv::run(const dnn::QTensor &in, unsigned &out_h,
     nc_assert(array_offset == 0 || isResident,
               "streaming conv layers run at offset 0 only (got %llu)",
               static_cast<unsigned long long>(array_offset));
+    nc_assert(w.m == m && w.c == c && w.r == r && w.s == s,
+              "prepared conv: bank is %ux%ux%ux%u, layer wants "
+              "%ux%ux%ux%u", w.m, w.c, w.r, w.s, m, c, r, s);
 
     out_h = dnn::outDim(in.height(), r, stride, samePad);
     out_w = dnn::outDim(in.width(), s, stride, samePad);
@@ -190,7 +192,7 @@ Executor::PreparedConv::run(const dnn::QTensor &in, unsigned &out_h,
         // Streaming regime: pin this pass's filter group before its
         // windows run (whole-layer-resident bands skip this forever).
         if (!isResident)
-            storeFilters(weights, mb0, mb1 - mb0, 0);
+            storeFilters(w, mb0, mb1 - mb0, 0);
 
         size_t tasks = static_cast<size_t>(mb1 - mb0) * chunks;
         if (chunks > 1)
@@ -354,7 +356,7 @@ Executor::conv(const dnn::QTensor &in, const dnn::QWeights &w,
     // The legacy per-call entry point: compile and run once. The
     // micro-op sequence (and hence every cycle counter) is identical
     // to the historical fused implementation.
-    return prepareConv(w, stride, same_pad).run(in, out_h, out_w);
+    return prepareConv(w, stride, same_pad).run(in, w, out_h, out_w);
 }
 
 std::vector<uint32_t>

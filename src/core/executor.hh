@@ -91,12 +91,15 @@ class Executor
       public:
         /**
          * Execute the layer on @p in; returns raw accumulators in
-         * [m][oh][ow] order, exactly like Executor::conv.
+         * [m][oh][ow] order, exactly like Executor::conv. @p w must
+         * be the bank prepareConv pinned: streaming layers re-pin it
+         * group by group, so the layer keeps no copy of its own.
          * @p array_offset selects the replica band pinned at
          * base + offset (0 = the band prepareConv placed); streaming
          * layers accept only offset 0.
          */
         std::vector<uint32_t> run(const dnn::QTensor &in,
+                                  const dnn::QWeights &w,
                                   unsigned &out_h, unsigned &out_w,
                                   uint64_t array_offset = 0);
 
@@ -149,7 +152,6 @@ class Executor
         uint64_t band = 0;
         mapping::FunctionalConvPlan fplan;
         mapping::ConvRowLayout rows; ///< shared Figure-10 carve-up
-        dnn::QWeights weights; ///< kept only for streaming re-pins
     };
 
     /**

@@ -1,7 +1,8 @@
 #include "mapping/weight_layout.hh"
 
 #include <algorithm>
-#include <tuple>
+#include <bit>
+#include <cstdint>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -68,37 +69,93 @@ WeightLayout::homeOf(unsigned m, unsigned c, unsigned k) const
     return home;
 }
 
-namespace
+std::vector<uint32_t>
+WeightLayout::streamRanks() const
 {
+    const unsigned rs = op.r * op.s;
+    const size_t n = static_cast<size_t>(op.m) * op.c * rs;
+    nc_assert(n <= UINT32_MAX, "filter bank of '%s' has %zu bytes, "
+              "more than a 32-bit stream position can index",
+              op.name.c_str(), n);
 
-/** Streaming sort key: pass, arrays, word lines, then bit lines. */
-std::tuple<unsigned, uint64_t, unsigned, unsigned>
-streamKey(const nc::cache::Geometry &geom, const WeightHome &h)
-{
-    uint64_t flat =
-        (uint64_t(h.coord.way) * geom.banksPerWay + h.coord.bank) *
-            geom.arraysPerBank() +
-        h.coord.array;
-    return {h.pass, flat, h.row, h.lane};
+    // Every home is one cell of the layer's arrays: global array
+    // (pass-major, so later passes stream after earlier ones), then
+    // word-line byte, then bit line. The cell index is the stream
+    // sort key, so an element's rank among the occupied cells is its
+    // stream position.
+    const uint64_t row_bytes = geom.arrayRows / 8;
+    const uint64_t compute_arrays = geom.computeArraysPerSlice();
+    std::vector<uint32_t> rank(n);
+    uint64_t max_cell = 0;
+    size_t i = 0;
+    for (unsigned m = 0; m < op.m; ++m)
+        for (unsigned c = 0; c < op.c; ++c)
+            for (unsigned k = 0; k < rs; ++k, ++i) {
+                WeightHome h = homeOf(m, c, k);
+                nc_assert(h.row % 8 == 0 && h.row < geom.arrayRows &&
+                              h.lane < geom.arrayCols,
+                          "'%s' element (%u,%u,%u) homed off the array "
+                          "grid (row %u, lane %u)", op.name.c_str(), m,
+                          c, k, h.row, h.lane);
+                uint64_t flat =
+                    (uint64_t(h.coord.way) * geom.banksPerWay +
+                     h.coord.bank) *
+                        geom.arraysPerBank() +
+                    h.coord.array;
+                uint64_t cell =
+                    ((h.pass * compute_arrays + flat) * row_bytes +
+                     h.row / 8) *
+                        geom.arrayCols +
+                    h.lane;
+                nc_assert(cell <= UINT32_MAX,
+                          "'%s' spans more cells than a 32-bit stream "
+                          "key can index", op.name.c_str());
+                rank[i] = static_cast<uint32_t>(cell);
+                max_cell = std::max(max_cell, cell);
+            }
+
+    // Occupancy bitmap plus a running count of the cells before each
+    // word turn each cell index into its rank in O(1). A second
+    // element on an occupied cell would silently overwrite the first
+    // in the image, so it dies instead.
+    std::vector<uint64_t> occupied(max_cell / 64 + 1, 0);
+    for (i = 0; i < n; ++i) {
+        uint64_t bit = uint64_t(1) << (rank[i] % 64);
+        uint64_t &word = occupied[rank[i] / 64];
+        if (word & bit) {
+            unsigned m = static_cast<unsigned>(i / (size_t(op.c) * rs));
+            unsigned c = static_cast<unsigned>(i / rs % op.c);
+            unsigned k = static_cast<unsigned>(i % rs);
+            nc_panic("conv '%s': filter element (%u,%u,%u) shares its "
+                     "home with another element", op.name.c_str(), m, c,
+                     k);
+        }
+        word |= bit;
+    }
+    std::vector<uint32_t> before(occupied.size());
+    uint32_t count = 0;
+    for (size_t w = 0; w < occupied.size(); ++w) {
+        before[w] = count;
+        count += static_cast<uint32_t>(std::popcount(occupied[w]));
+    }
+    for (auto &r : rank) {
+        uint64_t below = (uint64_t(1) << (r % 64)) - 1;
+        r = before[r / 64] +
+            static_cast<uint32_t>(std::popcount(occupied[r / 64] & below));
+    }
+    return rank;
 }
-
-} // namespace
 
 std::vector<WeightLayout::Placed>
 WeightLayout::placements() const
 {
-    std::vector<Placed> placed;
-    placed.reserve(static_cast<size_t>(op.m) * op.c * op.r * op.s);
+    std::vector<uint32_t> rank = streamRanks();
+    std::vector<Placed> placed(rank.size());
+    size_t i = 0;
     for (unsigned m = 0; m < op.m; ++m)
         for (unsigned c = 0; c < op.c; ++c)
             for (unsigned k = 0; k < op.r * op.s; ++k)
-                placed.push_back(Placed{homeOf(m, c, k), m, c, k});
-
-    std::sort(placed.begin(), placed.end(),
-              [&](const Placed &a, const Placed &b) {
-                  return streamKey(geom, a.home) <
-                         streamKey(geom, b.home);
-              });
+                placed[rank[i++]] = Placed{homeOf(m, c, k), m, c, k};
     return placed;
 }
 
@@ -120,11 +177,12 @@ WeightLayout::dramImage(const dnn::QWeights &w) const
                   w.s == op.s,
               "weight tensor does not match the op '%s'",
               op.name.c_str());
-    std::vector<uint8_t> image;
-    auto placed = placements();
-    image.reserve(placed.size());
-    for (const auto &p : placed)
-        image.push_back(w.at(p.m, p.c, p.k / op.s, p.k % op.s));
+    // QWeights stores (m, c, r, s) row-major: the same element order
+    // streamRanks() indexes.
+    std::vector<uint32_t> rank = streamRanks();
+    std::vector<uint8_t> image(rank.size());
+    for (size_t i = 0; i < rank.size(); ++i)
+        image[rank[i]] = w.data[i];
     return image;
 }
 

@@ -79,7 +79,10 @@ class WeightLayout
         unsigned m = 0, c = 0, k = 0;
     };
 
-    /** Every element with its home, in streaming order. */
+    /**
+     * Every element with its home, in streaming order. Dies naming the
+     * layer when two elements share a home.
+     */
     std::vector<Placed> placements() const;
 
     /**
@@ -90,6 +93,14 @@ class WeightLayout
     std::vector<uint8_t> dramImage(const dnn::QWeights &w) const;
 
   private:
+    /**
+     * Stream position of every filter element, indexed like
+     * QWeights::data ((m * C + c) * R * S + k). Linear time: the homes
+     * are ranked by cell, not sorted. Dies naming the layer when two
+     * elements share a home.
+     */
+    std::vector<uint32_t> streamRanks() const;
+
     dnn::ConvOp op;
     mapping::ConvPlan plan;
     Geometry geom;

@@ -3,20 +3,53 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "core/engine.hh"
+#include "dnn/random.hh"
 
 namespace
 {
 
 using nc::common::ThreadPool;
+
+/**
+ * Run @p body on its own thread and wait at most @p limit for it. A
+ * pool that loses a wake-up never returns from parallelFor, and a
+ * stuck thread cannot be joined, so on timeout the whole test binary
+ * exits with a failure instead of hanging the suite.
+ */
+template <class F>
+void
+withWatchdog(std::chrono::seconds limit, const char *what, F &&body)
+{
+    std::promise<void> done;
+    std::future<void> finished = done.get_future();
+    std::thread runner([&] {
+        body();
+        done.set_value();
+    });
+    if (finished.wait_for(limit) != std::future_status::ready) {
+        std::fprintf(stderr, "%s: still running after %llds, the pool "
+                     "is hung\n", what,
+                     static_cast<long long>(limit.count()));
+        std::_Exit(1);
+    }
+    runner.join();
+}
 
 TEST(ThreadPool, SizeIsAtLeastOne)
 {
@@ -63,6 +96,112 @@ TEST(ThreadPool, ReusableAcrossJobs)
         });
         EXPECT_EQ(sum.load(), 99u * 100u / 2);
     }
+}
+
+TEST(ThreadPool, TinyJobsNeverLoseAWakeUp)
+{
+    // Jobs of 2..8 indices finish in microseconds, so a helper often
+    // completes its share before the caller has sent every wake-up.
+    // A pool that sends one notify_one per helper slot lets such a
+    // helper re-enter its wait and absorb a later notify; a slot then
+    // stays unclaimed and the join never returns (within a few
+    // thousand jobs on a 4-core host).
+    constexpr size_t kJobs = 40000;
+    for (unsigned threads : {3u, 4u}) {
+        withWatchdog(std::chrono::seconds(60), "tiny-job stress", [&] {
+            ThreadPool pool(threads);
+            std::atomic<uint64_t> sum{0};
+            uint64_t want = 0;
+            for (size_t job = 0; job < kJobs; ++job) {
+                size_t n = 2 + job % 7;
+                pool.parallelFor(n, [&](size_t i) {
+                    sum.fetch_add(i + 1, std::memory_order_relaxed);
+                });
+                want += n * (n + 1) / 2;
+            }
+            EXPECT_EQ(sum.load(), want) << threads << " threads";
+        });
+    }
+}
+
+TEST(ThreadPool, OutsideCallersSharingOnePoolAllComplete)
+{
+    // Two outside threads drive one pool at once: whichever finds the
+    // job slot taken runs its loop inline, and every index of every
+    // job still runs exactly once.
+    withWatchdog(std::chrono::seconds(60), "shared-pool stress", [] {
+        ThreadPool pool(4);
+        auto drive = [&pool](uint64_t &total) {
+            for (size_t job = 0; job < 20000; ++job) {
+                std::atomic<uint64_t> sum{0};
+                size_t n = 1 + job % 16;
+                pool.parallelFor(n, [&](size_t i) {
+                    sum.fetch_add(i + 1, std::memory_order_relaxed);
+                });
+                EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+                total += sum.load();
+            }
+        };
+        uint64_t a = 0, b = 0;
+        std::thread other([&] { drive(b); });
+        drive(a);
+        other.join();
+        EXPECT_EQ(a, b);
+    });
+}
+
+TEST(ThreadPool, TwoModelsOfOneEngineCompileAndBatchSideBySide)
+{
+    // The public-API shape of the shared-slot rule: two models
+    // compiled by one Engine, each compiled and then run batch after
+    // batch from its own thread, all on the engine's one pool. Every
+    // batch must equal the serial per-image run() loop of a 1-thread
+    // engine, bit for bit.
+    using namespace nc;
+    auto netOf = [](const char *name, unsigned m) {
+        dnn::Network net;
+        net.name = name;
+        net.stages.push_back(dnn::singleOpStage(
+            "conv1", dnn::conv("conv1", 8, 8, 3, 3, 3, m)));
+        net.stages.push_back(dnn::singleOpStage(
+            "pool1", dnn::maxPool("pool1", 8, 8, m, 2, 2, 2)));
+        net.stages.push_back(dnn::singleOpStage(
+            "head", dnn::conv("head", 4, 4, m, 1, 1, 2)));
+        return net;
+    };
+    const dnn::Network nets[2] = {netOf("left", 4), netOf("right", 6)};
+
+    Rng rng(41);
+    std::vector<dnn::QTensor> batch;
+    for (int i = 0; i < 4; ++i)
+        batch.push_back(dnn::randomQTensor(rng, 3, 8, 8));
+    std::vector<std::vector<uint8_t>> golden[2];
+    for (int k = 0; k < 2; ++k) {
+        core::EngineOptions serial;
+        serial.threads = 1;
+        auto model = core::Engine(serial).compile(nets[k]);
+        for (const auto &img : batch)
+            golden[k].push_back(model.run(img).output.data());
+    }
+
+    core::EngineOptions shared;
+    shared.threads = 4;
+    core::Engine engine(shared);
+    withWatchdog(std::chrono::seconds(120), "two-model stress", [&] {
+        auto drive = [&](int k) {
+            auto model = engine.compile(nets[k]);
+            for (int round = 0; round < 6; ++round) {
+                auto res = model.runBatch(batch);
+                for (size_t i = 0; i < batch.size(); ++i)
+                    EXPECT_EQ(res.outputs[i].data(), golden[k][i])
+                        << nets[k].name << " round " << round
+                        << " image " << i;
+            }
+        };
+        std::thread right([&] { drive(1); });
+        drive(0);
+        right.join();
+    });
 }
 
 TEST(ThreadPool, DisjointWritesNeedNoSynchronization)

@@ -223,6 +223,35 @@ TEST(Engine, SeededWeightsAreDeterministic)
     opts.weightSeed = 1234;
     auto rc = core::Engine(opts).compile(net).run(in);
     EXPECT_NE(rc.output.data(), ra.output.data());
+
+    // Compile prepares the per-layer banks, DRAM images and requant
+    // scalars in parallel; the artifacts must not depend on the
+    // thread count. Plain, split, packed, multi-array and FC layers.
+    dnn::Network chain;
+    chain.name = "conv-chain";
+    for (auto op : {dnn::conv("plain", 8, 8, 16, 3, 3, 32),
+                    dnn::conv("split", 8, 8, 32, 5, 5, 48),
+                    dnn::conv("packed", 8, 8, 48, 1, 1, 320),
+                    dnn::conv("wide", 8, 8, 320, 7, 1, 16),
+                    dnn::fullyConnected("fc", 16 * 8 * 8, 10)})
+        chain.stages.push_back(dnn::singleOpStage(op.name(), op));
+    std::vector<core::CompiledModel> models;
+    for (unsigned threads : {1u, 4u}) {
+        core::EngineOptions to;
+        to.threads = threads;
+        models.push_back(core::Engine(to).compile(chain));
+    }
+    const auto &serial = models[0].compiledLayers();
+    const auto &parallel = models[1].compiledLayers();
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(serial[i].op.name());
+        EXPECT_FALSE(serial[i].dramImage.empty());
+        EXPECT_EQ(serial[i].weights.data, parallel[i].weights.data);
+        EXPECT_EQ(serial[i].dramImage, parallel[i].dramImage);
+        EXPECT_EQ(serial[i].requantMult, parallel[i].requantMult);
+        EXPECT_EQ(serial[i].requantShift, parallel[i].requantShift);
+    }
 }
 
 TEST(Engine, CompileExposesMappingAndLayoutArtifacts)
