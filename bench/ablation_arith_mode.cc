@@ -6,12 +6,12 @@
  * cycles/MAC, 660-cycle reduction); analytic mode counts our exact
  * micro-op schedules from bitserial/cost.hh. Both must produce the
  * same per-layer *shape*; the analytic arithmetic is roughly 2x
- * leaner (see EXPERIMENTS.md).
+ * leaner, as the per-stage ratios this prints show.
  */
 
 #include <cstdio>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 int
@@ -21,14 +21,13 @@ main()
 
     auto net = dnn::inceptionV3();
 
-    core::NeuralCacheConfig paper_cfg;
-    core::NeuralCacheConfig ana_cfg;
-    ana_cfg.cost.mode = core::ArithMode::Analytic;
+    core::EngineOptions paper_opts;
+    paper_opts.backend = core::BackendKind::Analytic;
+    core::EngineOptions ana_opts = paper_opts;
+    ana_opts.config.cost.mode = core::ArithMode::Analytic;
 
-    core::NeuralCache paper(paper_cfg);
-    core::NeuralCache ana(ana_cfg);
-    auto pr = paper.infer(net);
-    auto ar = ana.infer(net);
+    auto pr = core::Engine(paper_opts).compile(net).report();
+    auto ar = core::Engine(ana_opts).compile(net).report();
 
     std::printf("=== Ablation: arithmetic cycle model ===\n");
     std::printf("%-17s %16s %16s\n", "metric", "paper-calibrated",

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bitserial/cost.hh"
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 int
@@ -27,12 +27,12 @@ main()
     std::printf("%6s %10s %12s %12s %12s\n", "bits", "mac cyc",
                 "mac ms", "reduce ms", "arith ms");
     for (unsigned bits : {2u, 4u, 6u, 8u, 12u, 16u}) {
-        core::NeuralCacheConfig cfg;
-        cfg.cost.mode = core::ArithMode::Analytic;
-        cfg.cost.bits = bits;
-        cfg.cost.accumulatorBits = 3 * bits;
-        core::NeuralCache sim(cfg);
-        auto rep = sim.infer(net);
+        core::EngineOptions opts;
+        opts.backend = core::BackendKind::Analytic;
+        opts.config.cost.mode = core::ArithMode::Analytic;
+        opts.config.cost.bits = bits;
+        opts.config.cost.accumulatorBits = 3 * bits;
+        auto rep = core::Engine(opts).compile(net).report();
         std::printf("%6u %10llu %12.4f %12.4f %12.4f\n", bits,
                     (unsigned long long)bitserial::implMacScratchCycles(
                         bits, 3 * bits),

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 int
@@ -20,16 +20,18 @@ main()
     using namespace nc;
 
     auto net = dnn::inceptionV3();
+    core::EngineOptions analytic;
+    analytic.backend = core::BackendKind::Analytic;
 
     std::printf("=== Ablation: interconnect & clocks ===\n\n");
 
     {
-        core::NeuralCacheConfig with, without;
+        core::EngineOptions without = analytic;
         // The latch halves replicated in-bank fills; model its loss
         // by doubling the input stream.
-        without.cost.inputStreamFactor *= 2.0;
-        auto a = core::NeuralCache(with).infer(net);
-        auto b = core::NeuralCache(without).infer(net);
+        without.config.cost.inputStreamFactor *= 2.0;
+        auto a = core::Engine(analytic).compile(net).report();
+        auto b = core::Engine(without).compile(net).report();
         std::printf("bank latch        on: input %.3f ms, total %.3f "
                     "ms\n",
                     a.phases.inputStreamPs * picoToMs, a.latencyMs());
@@ -41,9 +43,9 @@ main()
     std::printf("%-22s %12s %12s %9s\n", "dram effective bw",
                 "filter ms", "total ms", "share");
     for (double gbps : {6.0, 11.0, 16.0, 25.6, 51.2}) {
-        core::NeuralCacheConfig cfg;
-        cfg.dram.effectiveBw.bytesPerSec = gbps * 1e9;
-        auto rep = core::NeuralCache(cfg).infer(net);
+        core::EngineOptions opts = analytic;
+        opts.config.dram.effectiveBw.bytesPerSec = gbps * 1e9;
+        auto rep = core::Engine(opts).compile(net).report();
         std::printf("%18.1f GB/s %12.3f %12.3f %8.1f%%\n", gbps,
                     rep.phases.filterLoadPs * picoToMs,
                     rep.latencyMs(),
@@ -53,9 +55,9 @@ main()
 
     std::printf("\n%-22s %12s\n", "compute clock", "total ms");
     for (double ghz : {1.0, 2.0, 2.5, 3.0, 4.0}) {
-        core::NeuralCacheConfig cfg;
-        cfg.cost.timing.computeClock.freqHz = ghz * 1e9;
-        auto rep = core::NeuralCache(cfg).infer(net);
+        core::EngineOptions opts = analytic;
+        opts.config.cost.timing.computeClock.freqHz = ghz * 1e9;
+        auto rep = core::Engine(opts).compile(net).report();
         std::printf("%18.1f GHz %12.3f\n", ghz, rep.latencyMs());
     }
     std::printf("\n(the paper runs compute at 2.5 GHz for 6-sigma "

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/models_extra.hh"
 
@@ -27,12 +27,16 @@ main()
     std::printf("%-14s | %21s | %21s |\n", "", "serial (paper)",
                 "double-buffered");
 
+    core::EngineOptions serial_opts;
+    serial_opts.backend = core::BackendKind::Analytic;
+    core::EngineOptions overlap_opts = serial_opts;
+    overlap_opts.config.cost.overlapInputStream = true;
+    core::Engine serial(serial_opts), overlap(overlap_opts);
+
     for (const dnn::Network &net :
          {dnn::inceptionV3(), dnn::alexNet(), dnn::vgg16()}) {
-        core::NeuralCacheConfig serial_cfg, overlap_cfg;
-        overlap_cfg.cost.overlapInputStream = true;
-        auto s = core::NeuralCache(serial_cfg).infer(net);
-        auto o = core::NeuralCache(overlap_cfg).infer(net);
+        auto s = serial.compile(net).report();
+        auto o = overlap.compile(net).report();
         std::printf("%-14s | %10.3f %10.3f | %10.3f %10.3f | "
                     "%7.1f%%\n",
                     net.name.c_str(),

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "baselines/device_model.hh"
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/models_extra.hh"
 
@@ -20,7 +20,9 @@ main()
 {
     using namespace nc;
 
-    core::NeuralCache sim;
+    core::EngineOptions opts;
+    opts.backend = core::BackendKind::Analytic;
+    core::Engine engine(opts);
 
     std::printf("=== Extension: more workloads on Neural Cache ===\n");
     std::printf("%-14s %8s %9s %10s %10s %9s %9s %9s\n", "network",
@@ -29,8 +31,9 @@ main()
     for (const dnn::Network &net :
          {dnn::inceptionV3(), dnn::alexNet(), dnn::vgg16(),
           dnn::resNet18()}) {
-        auto rep = sim.infer(net);
-        auto batch = sim.inferBatch(net, 64);
+        auto model = engine.compile(net);
+        auto rep = model.report();
+        auto batch = model.report(64);
         std::printf("%-14s %8.2f %9.1f %10.2f %10.0f %9.3f %9.1f "
                     "%8.1f%%\n",
                     net.name.c_str(),
@@ -45,12 +48,12 @@ main()
     std::printf("\nshape check: weight-heavy VGG-16 is filter-load "
                 "bound; batching matters most there.\n");
     for (const dnn::Network &net : {dnn::vgg16()}) {
+        auto model = engine.compile(net);
         std::printf("%s throughput: batch 1 %.0f, 16 %.0f, 64 %.0f "
                     "inf/s\n",
-                    net.name.c_str(),
-                    sim.inferBatch(net, 1).throughput(),
-                    sim.inferBatch(net, 16).throughput(),
-                    sim.inferBatch(net, 64).throughput());
+                    net.name.c_str(), model.report(1).throughput(),
+                    model.report(16).throughput(),
+                    model.report(64).throughput());
     }
     return 0;
 }

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "baselines/device_model.hh"
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 #include "mapping/plan.hh"
 
@@ -19,8 +19,10 @@ main()
     auto net = dnn::inceptionV3();
     auto cpu = baselines::DeviceModel::xeonE5_2697v3(net);
     auto gpu = baselines::DeviceModel::titanXp(net);
-    core::NeuralCache sim;
-    auto rep = sim.infer(net);
+    core::EngineOptions opts;
+    opts.backend = core::BackendKind::Analytic;
+    auto compiled = core::Engine(opts).compile(net);
+    auto rep = compiled.report();
 
     auto cpu_ms = cpu.stageLatenciesMs(net);
     auto gpu_ms = gpu.stageLatenciesMs(net);
@@ -42,8 +44,9 @@ main()
 
     // The paper's §VI-A anchor for Conv2D_2b_3x3.
     const auto &anchor = net.stages[2].branches[0].ops[0].conv;
-    auto plan = mapping::planConv(anchor, sim.config().geometry);
-    const auto &model = sim.costModel();
+    auto plan = mapping::planConv(anchor, compiled.config().geometry);
+    core::AnalyticBackend analytic(compiled.config());
+    const core::CostModel &model = analytic.model();
     double cycles_per_conv = model.macCyclesPerConv(plan) +
                              model.reduceCyclesPerConv(plan);
     std::printf("\nConv2D_2b anchor (paper §VI-A):\n");

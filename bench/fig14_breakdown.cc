@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 int
@@ -15,8 +15,9 @@ main()
     using namespace nc;
 
     auto net = dnn::inceptionV3();
-    core::NeuralCache sim;
-    auto rep = sim.infer(net);
+    core::EngineOptions opts;
+    opts.backend = core::BackendKind::Analytic;
+    auto rep = core::Engine(opts).compile(net).report();
 
     const auto &p = rep.phases;
     double total = p.totalPs();

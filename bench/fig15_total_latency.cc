@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "baselines/device_model.hh"
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 int
@@ -18,8 +18,9 @@ main()
     auto net = dnn::inceptionV3();
     auto cpu = baselines::DeviceModel::xeonE5_2697v3(net);
     auto gpu = baselines::DeviceModel::titanXp(net);
-    core::NeuralCache sim;
-    auto rep = sim.infer(net);
+    core::EngineOptions opts;
+    opts.backend = core::BackendKind::Analytic;
+    auto rep = core::Engine(opts).compile(net).report();
 
     double cpu_ms = cpu.totalLatencyMs(net);
     double gpu_ms = gpu.totalLatencyMs(net);

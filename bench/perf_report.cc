@@ -54,7 +54,6 @@
 #include "sram/kernels.hh"
 #include "core/engine.hh"
 #include "core/executor.hh"
-#include "core/neural_cache.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/reference.hh"
 #include "serve/loadgen.hh"
@@ -272,8 +271,8 @@ main(int argc, char **argv)
     // ---- engine: compile-once vs run-many amortization ---------------
     // Compiling Inception v3 runs mapping/tiling + calibration for
     // all 20 stages; a batched report from the compiled model is
-    // pure arithmetic on the cached stage costs. The old per-call
-    // API (NeuralCache::inferBatch) pays both on every query.
+    // pure arithmetic on the cached stage costs. Pricing the stages
+    // per query (as the check below does) pays both every time.
     auto inception = dnn::inceptionV3();
     core::EngineOptions eopts;
     eopts.backend = core::BackendKind::Analytic;
@@ -297,14 +296,17 @@ main(int argc, char **argv)
               "verify_ms %.4f exceeds the compile wall time %.4f ms",
               model.verifyMs(), one_compile_s * 1e3);
 
-    // The compiled model must answer exactly what the legacy
-    // per-call facade answers.
-    core::NeuralCache sim;
-    auto legacy = sim.inferBatch(inception, 16);
+    // The compiled model must answer exactly what re-pricing every
+    // stage per call answers.
+    core::AnalyticBackend analytic(model.config());
+    std::vector<core::StageCost> repriced;
+    for (const auto &stage : inception.stages)
+        repriced.push_back(analytic.stageCost(stage));
+    auto per_call = analytic.report(inception, repriced, 16);
     auto compiled = model.report(16);
-    nc_assert(compiled.batchPs == legacy.batchPs &&
-                  compiled.latencyPs == legacy.latencyPs,
-              "engine and legacy facade reports disagree");
+    nc_assert(compiled.batchPs == per_call.batchPs &&
+                  compiled.latencyPs == per_call.latencyPs,
+              "engine and per-call pricing reports disagree");
 
     // ---- batch: image-parallel runBatch vs the serial loop -----------
     // The §IV-E scaling primitive, measured: the same functional

@@ -2,7 +2,8 @@
  * @file
  * Regenerates Table I (Inception v3 layer parameters) from our graph
  * and prints it against the published values. Known paper typos are
- * flagged rather than hidden (see EXPERIMENTS.md).
+ * flagged rather than hidden (dnn::Table1Row's convsTypo /
+ * filterTypo in src/dnn/inception_v3.hh).
  */
 
 #include <cstdio>

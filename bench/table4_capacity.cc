@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 int
@@ -30,9 +30,10 @@ main()
                 "latency ms", "paper ms", "ratio", "paper");
     double base = 0, paper_base = 0;
     for (const Row &r : rows) {
-        core::NeuralCacheConfig cfg;
-        cfg.geometry = r.geom;
-        auto rep = core::NeuralCache(cfg).infer(net);
+        core::EngineOptions opts;
+        opts.backend = core::BackendKind::Analytic;
+        opts.config.geometry = r.geom;
+        auto rep = core::Engine(opts).compile(net).report();
         double ms = rep.latencyMs();
         if (base == 0) {
             base = ms;

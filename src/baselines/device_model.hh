@@ -16,7 +16,8 @@
  * GPU derived from the published 7.7x-over-NC ratio). The per-layer
  * *shape* therefore comes from first principles (arithmetic intensity
  * dominates, mixed layers are the bulk), while absolute totals match
- * the paper — the substitution recorded in DESIGN.md §4.2.
+ * the paper (tests/baselines/test_device_model.cc pins both
+ * calibrations).
  *
  * Batched throughput follows a saturating-batch model fitted to the
  * two published endpoints (batch-1 latency, peak throughput).

@@ -13,7 +13,7 @@
  *     addition n+1, multiplication n^2+5n-2, division 1.5n^2+5.5n).
  *     The Neural Cache cost model can be run in "paper" mode that uses
  *     these instead, for apples-to-apples reproduction of the
- *     evaluation numbers. EXPERIMENTS.md records both.
+ *     evaluation numbers. bench/table5_array_model prints both.
  */
 
 #ifndef NC_BITSERIAL_COST_HH

@@ -4,10 +4,12 @@
  *
  * The paper times way-loading with a micro-benchmark on the real
  * machine (set-address decoding reverse-engineered, VTune-profiled).
- * We substitute a bandwidth/latency channel model (DESIGN.md §4.3): an
- * effective bandwidth that reflects the strided set-granular access
- * pattern rather than peak DDR4 numbers, calibrated so filter loading
- * lands at ~46% of batch-1 inference latency (paper Figure 14).
+ * We substitute a bandwidth/latency channel model: an effective
+ * bandwidth that reflects the strided set-granular access pattern
+ * rather than peak DDR4 numbers, calibrated so filter loading lands
+ * at ~46% of batch-1 inference latency (paper Figure 14, which
+ * bench/fig14_breakdown reproduces). DRAM energy is not metered here
+ * but from EnergyConfig::dramPjPerByte (core/energy.hh).
  */
 
 #ifndef NC_CACHE_DRAM_HH
@@ -34,22 +36,12 @@ struct DramModel
     /** First-access latency of a stream, picoseconds. */
     double streamLatencyPs = 80e3; // 80 ns
 
-    /** DRAM access energy per byte moved, picojoules. */
-    double energyPjPerByte = 40.0;
-
     /**
      * Time to stream @p bytes into (or out of) the cache. Defined out
      * of line (dram.cc) so the translation unit anchors at least one
      * symbol.
      */
     double transferPs(uint64_t bytes) const;
-
-    /** Energy to move @p bytes, picojoules. */
-    double
-    transferPj(uint64_t bytes) const
-    {
-        return energyPjPerByte * static_cast<double>(bytes);
-    }
 };
 
 } // namespace nc::cache

@@ -60,45 +60,76 @@ AnalyticBackend::report(const dnn::Network &net,
                         unsigned batch,
                         const mapping::BatchBandPlan *bands) const
 {
-    return assembleBatchReport(net, stageCosts, batch, cfg.sockets,
-                               costModel, cfg.energy, bands);
-}
+    nc_assert(batch >= 1, "empty batch for network '%s'",
+              net.name.c_str());
+    nc_assert(!net.stages.empty(), "empty network '%s'",
+              net.name.c_str());
+    nc_assert(stageCosts.size() == net.stages.size(),
+              "%zu stage costs for %zu stages", stageCosts.size(),
+              net.stages.size());
 
-std::vector<uint32_t>
-AnalyticBackend::conv(CompiledLayer &, const dnn::QTensor &, unsigned &,
-                      unsigned &, const ExecContext &)
-{
-    nc_panic("the analytic backend cannot execute tensors; use "
-             "CompiledModel::report() or a functional backend");
-}
+    InferenceReport rep;
+    rep.networkName = net.name;
+    rep.batch = batch;
+    rep.sockets = cfg.sockets;
+    rep.stages = stageCosts;
 
-dnn::QTensor
-AnalyticBackend::maxPool(CompiledLayer &, const dnn::QTensor &,
-                         const ExecContext &)
-{
-    nc_panic("the analytic backend cannot execute tensors");
-}
+    // Image-parallel pass structure (§IV-E): spare capacity beyond
+    // one image's stationary bands runs extra images concurrently,
+    // the rest of the batch time-slices — the same arithmetic the
+    // functional runBatch fan-out executes.
+    mapping::BatchBandPlan local_bands;
+    if (!bands) {
+        local_bands = mapping::planBatchBands(net, cfg.geometry);
+        bands = &local_bands;
+    }
+    rep.imageSlots = bands->imageSlots;
+    rep.batchPasses = bands->passes(batch);
 
-dnn::QTensor
-AnalyticBackend::avgPool(CompiledLayer &, const dnn::QTensor &,
-                         const ExecContext &)
-{
-    nc_panic("the analytic backend cannot execute tensors");
-}
+    double filter_ps = 0; // paid once per layer for the whole batch
+    double per_image_ps = 0;
+    double spill_ps = 0;
 
-dnn::QTensor
-AnalyticBackend::eltwiseAdd(CompiledLayer &, const dnn::QTensor &,
-                            const dnn::QTensor &, const ExecContext &)
-{
-    nc_panic("the analytic backend cannot execute tensors");
-}
+    // Reserved-way capacity across all slices buffers layer outputs.
+    const cache::Geometry &geom = cfg.geometry;
+    double reserved_bytes =
+        static_cast<double>(geom.slices) * geom.reservedWayBytes();
 
-std::vector<uint8_t>
-AnalyticBackend::requantize(CompiledLayer &,
-                            const std::vector<uint32_t> &,
-                            const ExecContext &)
-{
-    nc_panic("the analytic backend cannot execute tensors");
+    for (size_t i = 0; i < rep.stages.size(); ++i) {
+        StageCost &c = rep.stages[i];
+
+        filter_ps += c.phases.filterLoadPs;
+        per_image_ps += c.totalPs() - c.phases.filterLoadPs;
+
+        // Batch outputs that overflow the reserved way spill to DRAM
+        // and return for the next layer (paper §IV-E); only the
+        // overflow beyond the buffered capacity pays the round trip.
+        double batch_out =
+            static_cast<double>(net.stages[i].outputBytes()) * batch;
+        if (batch > 1 && batch_out > reserved_bytes) {
+            auto overflow =
+                static_cast<uint64_t>(batch_out - reserved_bytes);
+            spill_ps += cfg.dram.transferPs(overflow) * 2.0;
+            c.dramBytes += 2 * overflow;
+        }
+
+        rep.phases += c.phases;
+    }
+
+    // First-layer input arrives from DRAM through the TMUs.
+    uint64_t image_bytes = net.stages.front().inputBytes();
+    double input_dram_ps = cfg.dram.transferPs(image_bytes) * batch;
+    rep.stages.front().dramBytes += image_bytes * batch;
+    double per_image_share = input_dram_ps / batch;
+    rep.stages.front().phases.inputStreamPs += per_image_share;
+    rep.phases.inputStreamPs += per_image_share;
+    per_image_ps += per_image_share;
+
+    rep.latencyPs = filter_ps + per_image_ps;
+    rep.batchPs = filter_ps + per_image_ps * batch + spill_ps;
+    rep.spillPs = spill_ps;
+    rep.energy = meterEnergy(rep.stages, rep.batchPs, cfg.energy);
+    return rep;
 }
 
 namespace
@@ -110,8 +141,6 @@ namespace
 class ReferenceBackend : public Backend
 {
   public:
-    BackendKind kind() const override { return BackendKind::Reference; }
-
     // CPU loops carry no array state, so every image slot runs the
     // identical code: the ExecContext is accepted and ignored.
     std::vector<uint32_t>
@@ -174,11 +203,6 @@ class FunctionalBackend : public Backend
 {
   public:
     explicit FunctionalBackend(Executor &ex_) : ex(ex_) {}
-
-    BackendKind kind() const override
-    {
-        return BackendKind::Functional;
-    }
 
     std::vector<uint32_t>
     conv(CompiledLayer &layer, const dnn::QTensor &in, unsigned &out_h,
@@ -243,8 +267,6 @@ class IsaBackend : public Backend
 {
   public:
     IsaBackend(LayerEngine &le_, Executor &ex_) : le(le_), ex(ex_) {}
-
-    BackendKind kind() const override { return BackendKind::Isa; }
 
     std::vector<uint32_t>
     conv(CompiledLayer &layer, const dnn::QTensor &in, unsigned &out_h,

@@ -13,11 +13,13 @@
  *  - Analytic:   the paper's cost model (core::CostModel) — timing,
  *                phase breakdowns, and energy, no tensors.
  *
- * The three functional backends are bit-exact against each other by
- * construction (the backend-parity test suite enforces it); the
- * analytic backend answers every run's InferenceReport. Backends are
- * selected per engine and overridable per layer for mixed runs, and
- * all share one common::ThreadPool.
+ * The three functional backends execute tensors through the Backend
+ * interface and are bit-exact against each other by construction
+ * (the backend-parity test suite enforces it). Analytic is not a
+ * Backend: AnalyticBackend only prices, and it answers every run's
+ * InferenceReport whichever backend executed the tensors. Functional
+ * backends are selected per engine and overridable per layer for
+ * mixed runs, and all share one common::ThreadPool.
  */
 
 #ifndef NC_CORE_BACKEND_HH
@@ -28,7 +30,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/neural_cache.hh"
+#include "core/report.hh"
 #include "dnn/tensor.hh"
 
 namespace nc::core
@@ -89,8 +91,6 @@ class Backend
   public:
     virtual ~Backend() = default;
 
-    virtual BackendKind kind() const = 0;
-
     /**
      * Convolution (or FC-as-1x1-conv) of @p layer on @p in; returns
      * the raw accumulators in [m][oh][ow] order.
@@ -132,18 +132,16 @@ class Backend
 };
 
 /**
- * The timing half: wraps CostModel. It cannot execute tensors (the
- * functional entry points panic); CompiledModel uses it to derive
- * per-stage costs at compile time and assemble batched reports at run
- * time — which is exactly the compile/run amortization: mapping and
- * tiling are priced once, report assembly is arithmetic.
+ * The timing half: wraps CostModel. It executes no tensors, so it is
+ * not a Backend. CompiledModel uses it to price every stage once at
+ * compile time and to assemble batched reports at run time — which
+ * is exactly the compile/run amortization: mapping and tiling are
+ * priced once, report assembly is arithmetic.
  */
-class AnalyticBackend : public Backend
+class AnalyticBackend
 {
   public:
     explicit AnalyticBackend(const NeuralCacheConfig &cfg_);
-
-    BackendKind kind() const override { return BackendKind::Analytic; }
 
     const CostModel &model() const { return costModel; }
 
@@ -151,31 +149,21 @@ class AnalyticBackend : public Backend
     StageCost stageCost(const dnn::Stage &stage) const;
 
     /**
-     * Assemble the batched report from compile-time stage costs.
-     * @p bands is the §IV-E banding the caller executes (CompiledModel
-     * passes its compile-time plan so the report prices exactly the
-     * pass structure runBatch runs); null derives the net-level plan.
+     * Assemble the batched report from per-stage costs: filter
+     * loading paid once for the batch, per-image phases multiplied
+     * out, reserved-way overflow spilled to DRAM, first-layer input
+     * streamed from DRAM, and energy metered over the batch wall time
+     * (paper §IV-E). @p net must be non-empty, @p stageCosts must
+     * price its stages in order, and @p batch must be >= 1. @p bands
+     * is the §IV-E banding the caller executes (CompiledModel passes
+     * its compile-time plan so the report prices exactly the pass
+     * structure runBatch runs); null derives the net-level plan.
      */
     InferenceReport report(const dnn::Network &net,
                            const std::vector<StageCost> &stageCosts,
                            unsigned batch,
                            const mapping::BatchBandPlan *bands =
                                nullptr) const;
-
-    std::vector<uint32_t> conv(CompiledLayer &layer,
-                               const dnn::QTensor &in, unsigned &out_h,
-                               unsigned &out_w,
-                               const ExecContext &ctx) override;
-    dnn::QTensor maxPool(CompiledLayer &layer, const dnn::QTensor &in,
-                         const ExecContext &ctx) override;
-    dnn::QTensor avgPool(CompiledLayer &layer, const dnn::QTensor &in,
-                         const ExecContext &ctx) override;
-    dnn::QTensor eltwiseAdd(CompiledLayer &layer, const dnn::QTensor &a,
-                            const dnn::QTensor &b,
-                            const ExecContext &ctx) override;
-    std::vector<uint8_t> requantize(
-        CompiledLayer &layer, const std::vector<uint32_t> &acc,
-        const ExecContext &ctx) override;
 
   private:
     NeuralCacheConfig cfg;

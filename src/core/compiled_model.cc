@@ -307,21 +307,12 @@ CompiledModel::placeAndPrepare(bool force_streaming)
 Backend &
 CompiledModel::backendFor(BackendKind k)
 {
-    Backend *b = nullptr;
-    switch (k) {
-      case BackendKind::Reference:
-        b = refBackend.get();
-        break;
-      case BackendKind::Functional:
-        b = funcBackend.get();
-        break;
-      case BackendKind::Isa:
-        b = isaBackend.get();
-        break;
-      case BackendKind::Analytic:
-        b = analytic.get();
-        break;
-    }
+    // Analytic executes no tensors: an analytic compile places no
+    // layers, and compile rejects per-layer analytic overrides.
+    Backend *b = k == BackendKind::Reference    ? refBackend.get()
+                 : k == BackendKind::Functional ? funcBackend.get()
+                 : k == BackendKind::Isa        ? isaBackend.get()
+                                                : nullptr;
     nc_assert(b, "backend '%s' was not instantiated at compile time",
               backendKindName(k));
     return *b;

@@ -347,10 +347,4 @@ CostModel::stageCost(const dnn::Stage &stage) const
     return total;
 }
 
-mapping::BatchBandPlan
-CostModel::planImageBands(const dnn::Network &net) const
-{
-    return mapping::planBatchBands(net, geom);
-}
-
 } // namespace nc::core

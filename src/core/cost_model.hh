@@ -21,7 +21,7 @@
  *    absolute numbers.
  *  - Analytic: our exact micro-op counts from bitserial/cost.hh —
  *    first-principles numbers, same shape, roughly 2x faster
- *    arithmetic (see EXPERIMENTS.md for the comparison).
+ *    arithmetic (bench/ablation_arith_mode prints the comparison).
  */
 
 #ifndef NC_CORE_COST_MODEL_HH
@@ -178,15 +178,6 @@ class CostModel
     StageCost eltwiseCost(const dnn::EltwiseOp &op) const;
     /** Cost of a whole stage (branches serial). */
     StageCost stageCost(const dnn::Stage &stage) const;
-
-    /**
-     * Image-parallel batch banding of @p net on this geometry
-     * (§IV-E / Figure 16): concurrent image slots and time-sliced
-     * pass counts, priced from the same functional mappings the
-     * executor runs.
-     */
-    mapping::BatchBandPlan planImageBands(const dnn::Network &net)
-        const;
 
     /** Picoseconds of @p cycles on the compute clock. */
     double

@@ -140,7 +140,8 @@ Engine::compile(const dnn::Network &net,
                   net.name.c_str());
         // No layer placement happens, so the report's §IV-E pass
         // structure comes from the all-functional net-level banding
-        // (the same one the legacy facade derives).
+        // (the same one AnalyticBackend::report derives without a
+        // plan).
         m.bandPlan = mapping::planBatchBands(
             net, opts.config.geometry);
         mapping::auditPlanOrDie(m);

@@ -8,7 +8,7 @@
 #include "common/logging.hh"
 #include "core/compiled_model.hh"
 #include "core/cost_model.hh"
-#include "core/neural_cache.hh"
+#include "core/report.hh"
 #include "dnn/layers.hh"
 
 namespace nc::core::verify

@@ -5,6 +5,13 @@
 namespace nc::core
 {
 
+double
+InferenceReport::avgPowerW() const
+{
+    double span = batchPs > 0 ? batchPs : latencyPs;
+    return energy.avgPowerW(span * picoToSec);
+}
+
 void
 printStageTable(std::ostream &os, const InferenceReport &rep)
 {

@@ -9,10 +9,11 @@
  * reductions are VALID, which is exactly the combination that
  * reproduces the per-stage convolution counts of Table I. Two entries
  * of the published table are arithmetically inconsistent with the
- * model structure (documented as `knownTypo` below and in
- * EXPERIMENTS.md): Mixed_6e's conv count repeats the 6c/6d value
- * although 6e uses 192-wide towers, and Mixed_6a's filter size is
- * far below the parameter count of its own 384-filter reduction conv.
+ * model structure (Table1Row's convsTypo / filterTypo below, which
+ * bench/table1_layers flags): Mixed_6e's conv count repeats the
+ * 6c/6d value although 6e uses 192-wide towers, and Mixed_6a's
+ * filter size is far below the parameter count of its own
+ * 384-filter reduction conv.
  */
 
 #ifndef NC_DNN_INCEPTION_V3_HH

@@ -6,7 +6,8 @@
  * truth: the bit-serial functional executor must match the quantized
  * reference exactly, and the quantized path must track the float path
  * within quantization error. They stand in for the paper's TensorFlow
- * trace-matching verification (DESIGN.md §4.5).
+ * trace-matching verification (§V); tests/core/test_backend_parity.cc
+ * pins every functional backend to them.
  */
 
 #ifndef NC_DNN_REFERENCE_HH

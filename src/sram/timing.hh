@@ -5,7 +5,8 @@
  * The paper characterizes an 8KB computational SRAM in 28 nm SPICE and
  * scales the energy numbers to the 22 nm Xeon E5-2697 v3 node. The
  * architectural model only ever consumes these scalars, so this table is
- * the substitution for the authors' circuit work (see DESIGN.md §4).
+ * the substitution for the authors' circuit work: bench/table5_array_model
+ * prints it, and tests/sram/test_timing.cc pins it to the paper.
  *
  * Published values (paper §V):
  *  - compute cycle:       1022 ps (0.66 V RWL, 6-sigma robust)

@@ -31,12 +31,6 @@ TEST(Dram, CalibratedBandwidthLoadsInceptionFiltersIn2ms)
     EXPECT_LT(ms, 2.4);
 }
 
-TEST(Dram, EnergyPerByte)
-{
-    DramModel d;
-    EXPECT_DOUBLE_EQ(d.transferPj(100), 100 * d.energyPjPerByte);
-}
-
 TEST(CBox, TransposeThroughputScalesWithTmus)
 {
     CBox one;

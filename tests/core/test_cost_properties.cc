@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/models_extra.hh"
 
@@ -11,8 +11,17 @@ namespace
 {
 
 using namespace nc;
-using core::NeuralCache;
 using core::NeuralCacheConfig;
+
+/** Compile @p net on an analytic engine configured with @p cfg. */
+core::CompiledModel
+analyticModel(const dnn::Network &net, const NeuralCacheConfig &cfg = {})
+{
+    core::EngineOptions opts;
+    opts.backend = core::BackendKind::Analytic;
+    opts.config = cfg;
+    return core::Engine(opts).compile(net);
+}
 
 /** Random-but-plausible conv shapes for sweeps. */
 dnn::ConvOp
@@ -75,8 +84,8 @@ TEST(CostProperties, LatencyScalesInverselyWithComputeClock)
     NeuralCacheConfig slow, fast;
     slow.cost.timing.computeClock.freqHz = 1.25e9;
     fast.cost.timing.computeClock.freqHz = 2.5e9;
-    auto s = NeuralCache(slow).infer(net);
-    auto f = NeuralCache(fast).infer(net);
+    auto s = analyticModel(net, slow).report();
+    auto f = analyticModel(net, fast).report();
     // Arithmetic phases exactly halve; movement phases are
     // clock-independent here (bus modeled separately).
     EXPECT_NEAR(s.phases.macPs, 2.0 * f.phases.macPs,
@@ -89,8 +98,8 @@ TEST(CostProperties, FasterDramOnlyShrinksFilterPhase)
     auto net = dnn::inceptionV3();
     NeuralCacheConfig base, fast;
     fast.dram.effectiveBw.bytesPerSec = 40e9;
-    auto b = NeuralCache(base).infer(net);
-    auto f = NeuralCache(fast).infer(net);
+    auto b = analyticModel(net, base).report();
+    auto f = analyticModel(net, fast).report();
     EXPECT_LT(f.phases.filterLoadPs, b.phases.filterLoadPs);
     EXPECT_NEAR(f.phases.macPs, b.phases.macPs, 1.0);
     EXPECT_NEAR(f.phases.reducePs, b.phases.reducePs, 1.0);
@@ -99,10 +108,10 @@ TEST(CostProperties, FasterDramOnlyShrinksFilterPhase)
 TEST(CostProperties, BatchLatencyMonotoneInBatchSize)
 {
     auto net = dnn::inceptionV3();
-    NeuralCache sim;
+    auto model = analyticModel(net);
     double prev = 0;
     for (unsigned b : {1u, 2u, 4u, 8u, 16u, 32u}) {
-        double ms = sim.inferBatch(net, b).batchMs();
+        double ms = model.report(b).batchMs();
         EXPECT_GT(ms, prev) << "batch " << b;
         prev = ms;
     }
@@ -113,8 +122,7 @@ TEST(CostProperties, ThroughputBoundedByArithmeticFloor)
     // Even infinitely amortized, per-image time can't drop below the
     // arithmetic + streaming floor; throughput stays finite.
     auto net = dnn::inceptionV3();
-    NeuralCache sim;
-    double thr = sim.inferBatch(net, 512).throughput();
+    double thr = analyticModel(net).report(512).throughput();
     EXPECT_LT(thr, 2000.0);
     EXPECT_GT(thr, 100.0);
 }
@@ -125,8 +133,8 @@ TEST(CostProperties, OverlapNeverHurts)
          {dnn::inceptionV3(), dnn::alexNet(), dnn::vgg16()}) {
         NeuralCacheConfig serial_cfg, overlap_cfg;
         overlap_cfg.cost.overlapInputStream = true;
-        double s = NeuralCache(serial_cfg).infer(net).latencyMs();
-        double o = NeuralCache(overlap_cfg).infer(net).latencyMs();
+        double s = analyticModel(net, serial_cfg).report().latencyMs();
+        double o = analyticModel(net, overlap_cfg).report().latencyMs();
         EXPECT_LE(o, s * 1.0001) << net.name;
     }
 }
@@ -135,7 +143,7 @@ TEST(CostProperties, EveryPhaseNonNegativeAcrossModels)
 {
     for (const dnn::Network &net :
          {dnn::inceptionV3(), dnn::alexNet(), dnn::vgg16()}) {
-        auto rep = NeuralCache().infer(net);
+        auto rep = analyticModel(net).report();
         const auto &p = rep.phases;
         for (double v : {p.filterLoadPs, p.inputStreamPs,
                          p.outputXferPs, p.macPs, p.reducePs,

@@ -10,7 +10,6 @@
 #include "common/rng.hh"
 #include "core/engine.hh"
 #include "core/executor.hh"
-#include "core/neural_cache.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/random.hh"
 
@@ -134,15 +133,17 @@ TEST(Engine, ReportCarriesAnalyticAnswerOnFunctionalRuns)
     auto res = model.run(dnn::randomQTensor(rng, 3, 8, 8));
 
     // One call yields both the tensors and the timing/energy report,
-    // and the report matches the legacy analytic facade exactly.
-    core::NeuralCache sim;
-    auto want = sim.infer(tinyNet());
+    // and the report matches an analytic compile of the same network
+    // exactly.
+    core::EngineOptions opts;
+    opts.backend = BackendKind::Analytic;
+    auto want = core::Engine(opts).compile(tinyNet()).report();
     EXPECT_DOUBLE_EQ(res.report.latencyPs, want.latencyPs);
     EXPECT_DOUBLE_EQ(res.report.energy.totalJ(), want.energy.totalJ());
     EXPECT_GT(res.report.latencyPs, 0.0);
 }
 
-TEST(Engine, AnalyticBackendMatchesLegacyFacade)
+TEST(Engine, AnalyticReportMatchesPerCallPricing)
 {
     auto net = dnn::inceptionV3();
 
@@ -152,10 +153,15 @@ TEST(Engine, AnalyticBackendMatchesLegacyFacade)
     auto model = engine.compile(net);
     EXPECT_FALSE(model.functional());
 
-    core::NeuralCache sim;
+    // The compiled report must equal pricing every stage afresh on
+    // each call, which is the work compile caches.
+    core::AnalyticBackend analytic(model.config());
     for (unsigned batch : {1u, 8u, 64u}) {
+        std::vector<core::StageCost> repriced;
+        for (const auto &stage : net.stages)
+            repriced.push_back(analytic.stageCost(stage));
         auto got = model.report(batch);
-        auto want = sim.inferBatch(net, batch);
+        auto want = analytic.report(net, repriced, batch);
         EXPECT_DOUBLE_EQ(got.latencyPs, want.latencyPs) << batch;
         EXPECT_DOUBLE_EQ(got.batchPs, want.batchPs) << batch;
         EXPECT_DOUBLE_EQ(got.spillPs, want.spillPs) << batch;

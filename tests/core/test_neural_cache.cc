@@ -1,8 +1,12 @@
-/** @file End-to-end latency/throughput reproduction checks. */
+/**
+ * @file
+ * End-to-end latency/throughput reproduction checks: the paper's
+ * targets, answered by an analytic Engine's compiled model.
+ */
 
 #include <gtest/gtest.h>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "dnn/inception_v3.hh"
 
 namespace
@@ -11,6 +15,17 @@ namespace
 using namespace nc::core;
 using nc::cache::Geometry;
 
+/** Compile @p net on an analytic engine configured with @p cfg. */
+CompiledModel
+analyticModel(const nc::dnn::Network &net,
+              const NeuralCacheConfig &cfg = {})
+{
+    EngineOptions opts;
+    opts.backend = BackendKind::Analytic;
+    opts.config = cfg;
+    return Engine(opts).compile(net);
+}
+
 class NeuralCacheInception : public ::testing::Test
 {
   protected:
@@ -18,25 +33,30 @@ class NeuralCacheInception : public ::testing::Test
     SetUpTestSuite()
     {
         net = new nc::dnn::Network(nc::dnn::inceptionV3());
+        model = new CompiledModel(analyticModel(*net));
     }
 
     static void
     TearDownTestSuite()
     {
+        delete model;
+        model = nullptr;
         delete net;
         net = nullptr;
     }
 
     static nc::dnn::Network *net;
+    /** Compiled once with the default configuration. */
+    static CompiledModel *model;
 };
 
 nc::dnn::Network *NeuralCacheInception::net = nullptr;
+CompiledModel *NeuralCacheInception::model = nullptr;
 
 TEST_F(NeuralCacheInception, Batch1LatencyNearPaper)
 {
     // Figure 15 / Table IV: 4.72 ms at 35 MB. We accept +-10%.
-    NeuralCache sim;
-    auto rep = sim.infer(*net);
+    auto rep = model->report();
     EXPECT_GT(rep.latencyMs(), 4.72 * 0.9);
     EXPECT_LT(rep.latencyMs(), 4.72 * 1.1);
 }
@@ -45,8 +65,7 @@ TEST_F(NeuralCacheInception, BreakdownMatchesFigure14)
 {
     // Figure 14 shares: filter 46%, input 15%, output 4%, MACs 20%,
     // reduction 10%, quantization 5%, pooling 0.04%.
-    NeuralCache sim;
-    auto rep = sim.infer(*net);
+    auto rep = model->report();
     double total = rep.phases.totalPs();
     auto pct = [&](double ps) { return 100.0 * ps / total; };
 
@@ -62,8 +81,7 @@ TEST_F(NeuralCacheInception, BreakdownMatchesFigure14)
 TEST_F(NeuralCacheInception, EnergyAndPowerNearTableIII)
 {
     // Table III: 0.246 J, 52.92 W.
-    NeuralCache sim;
-    auto rep = sim.infer(*net);
+    auto rep = model->report();
     EXPECT_NEAR(rep.energy.totalJ(), 0.246, 0.03);
     EXPECT_NEAR(rep.avgPowerW(), 52.92, 6.0);
 }
@@ -76,9 +94,9 @@ TEST_F(NeuralCacheInception, CapacityScalingMatchesTableIV)
     NeuralCacheConfig c35, c45, c60;
     c45.geometry = Geometry::scaled45MB();
     c60.geometry = Geometry::scaled60MB();
-    double t35 = NeuralCache(c35).infer(*net).latencyMs();
-    double t45 = NeuralCache(c45).infer(*net).latencyMs();
-    double t60 = NeuralCache(c60).infer(*net).latencyMs();
+    double t35 = analyticModel(*net, c35).report().latencyMs();
+    double t45 = analyticModel(*net, c45).report().latencyMs();
+    double t60 = analyticModel(*net, c60).report().latencyMs();
 
     EXPECT_LT(t45, t35);
     EXPECT_LT(t60, t45);
@@ -91,10 +109,9 @@ TEST_F(NeuralCacheInception, ThroughputCurveShape)
 {
     // Figure 16: throughput rises with batch (filter amortization)
     // and plateaus; peak ~604 inf/s on the dual-socket node.
-    NeuralCache sim;
-    double t1 = sim.inferBatch(*net, 1).throughput();
-    double t16 = sim.inferBatch(*net, 16).throughput();
-    double t256 = sim.inferBatch(*net, 256).throughput();
+    double t1 = model->report(1).throughput();
+    double t16 = model->report(16).throughput();
+    double t256 = model->report(256).throughput();
 
     EXPECT_GT(t16, t1);
     // Batch-1 ~212 inf/s per socket (~424 dual).
@@ -107,9 +124,8 @@ TEST_F(NeuralCacheInception, ThroughputCurveShape)
 
 TEST_F(NeuralCacheInception, BatchingAmortizesFilterLoading)
 {
-    NeuralCache sim;
-    auto r1 = sim.inferBatch(*net, 1);
-    auto r8 = sim.inferBatch(*net, 8);
+    auto r1 = model->report(1);
+    auto r8 = model->report(8);
     // Whole-batch time grows sublinearly.
     EXPECT_LT(r8.batchPs, 8.0 * r1.batchPs);
     // Spill appears only with batching.
@@ -120,16 +136,14 @@ TEST_F(NeuralCacheInception, BatchingAmortizesFilterLoading)
 TEST_F(NeuralCacheInception, SpeedupsOverBaselines)
 {
     // Figure 15: 18.3x over the CPU (86 ms), 7.7x over the GPU.
-    NeuralCache sim;
-    double nc_ms = sim.infer(*net).latencyMs();
+    double nc_ms = model->report().latencyMs();
     EXPECT_NEAR(86.0 / nc_ms, 18.3, 2.5);
     EXPECT_NEAR((86.0 / 18.3 * 7.7) / nc_ms, 7.7, 1.0);
 }
 
 TEST_F(NeuralCacheInception, StagesCoverTableI)
 {
-    NeuralCache sim;
-    auto rep = sim.infer(*net);
+    auto rep = model->report();
     ASSERT_EQ(rep.stages.size(), 20u);
     for (size_t i = 0; i < rep.stages.size(); ++i) {
         EXPECT_EQ(rep.stages[i].name, net->stages[i].name);
@@ -143,8 +157,7 @@ TEST(NeuralCacheSmall, TrivialNetworkRuns)
     tiny.name = "tiny";
     tiny.stages.push_back(nc::dnn::singleOpStage(
         "conv", nc::dnn::conv("conv", 8, 8, 16, 3, 3, 8)));
-    NeuralCache sim;
-    auto rep = sim.infer(tiny);
+    auto rep = analyticModel(tiny).report();
     EXPECT_GT(rep.latencyPs, 0.0);
     EXPECT_EQ(rep.stages.size(), 1u);
     EXPECT_EQ(rep.batch, 1u);
@@ -157,50 +170,25 @@ TEST(NeuralCacheSmall, ReportThroughputConsistency)
         "conv", nc::dnn::conv("conv", 8, 8, 16, 3, 3, 8)));
     NeuralCacheConfig cfg;
     cfg.sockets = 1;
-    NeuralCache sim(cfg);
-    auto rep = sim.inferBatch(tiny, 4);
+    auto rep = analyticModel(tiny, cfg).report(4);
     EXPECT_NEAR(rep.throughput(),
                 4.0 / (rep.batchPs * nc::picoToSec), 1e-6);
 }
 
-// Degenerate inputs are hard errors, never silently-empty (or NaN)
-// reports: a zero batch or an empty network has no meaningful
-// latency/energy answer.
 TEST_F(NeuralCacheInception, BatchReportCarriesPassStructure)
 {
     // Full-resolution Inception v3 exceeds the cache (~19k arrays),
     // so the §IV-E banding puts it in the streaming regime: one
-    // image slot, one pass per image — and the legacy facade's
-    // report agrees with the capacity arithmetic.
-    NeuralCache sim;
-    auto rep = sim.inferBatch(*net, 8);
+    // image slot, one pass per image — and the analytic report
+    // agrees with the capacity arithmetic.
+    auto rep = model->report(8);
     EXPECT_EQ(rep.imageSlots, 1u);
     EXPECT_EQ(rep.batchPasses, 8u);
 
-    auto bands =
-        sim.costModel().planImageBands(*net);
+    const auto &bands = model->batchBands();
     EXPECT_FALSE(bands.resident);
     EXPECT_GT(bands.filterArrays,
-              uint64_t(sim.costModel().geometry().totalArrays()));
-}
-
-TEST(NeuralCacheDeath, ZeroBatchIsHardError)
-{
-    nc::dnn::Network tiny;
-    tiny.name = "tiny";
-    tiny.stages.push_back(nc::dnn::singleOpStage(
-        "conv", nc::dnn::conv("conv", 8, 8, 16, 3, 3, 8)));
-    NeuralCache sim;
-    EXPECT_DEATH((void)sim.inferBatch(tiny, 0), "empty batch");
-}
-
-TEST(NeuralCacheDeath, EmptyNetworkIsHardError)
-{
-    nc::dnn::Network empty;
-    empty.name = "empty";
-    NeuralCache sim;
-    EXPECT_DEATH((void)sim.infer(empty), "empty network");
-    EXPECT_DEATH((void)sim.inferBatch(empty, 4), "empty network");
+              uint64_t(model->config().geometry.totalArrays()));
 }
 
 } // namespace

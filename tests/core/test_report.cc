@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/neural_cache.hh"
+#include "core/engine.hh"
 #include "core/report.hh"
 #include "dnn/inception_v3.hh"
 
@@ -22,7 +22,9 @@ smallReport()
         "conv", dnn::conv("conv", 8, 8, 16, 3, 3, 8)));
     net.stages.push_back(dnn::singleOpStage(
         "pool", dnn::maxPool("pool", 8, 8, 8, 2, 2, 2)));
-    return core::NeuralCache().infer(net);
+    core::EngineOptions opts;
+    opts.backend = core::BackendKind::Analytic;
+    return core::Engine(opts).compile(net).report();
 }
 
 TEST(Report, StageTableListsEveryStageAndTotal)

@@ -13,7 +13,6 @@
 #include "common/rng.hh"
 #include "core/engine.hh"
 #include "core/executor.hh"
-#include "core/neural_cache.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/random.hh"
 
