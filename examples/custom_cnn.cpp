@@ -14,7 +14,7 @@
  * The network is a small LeNet-style classifier on a 16x16 input;
  * swap the layer list to explore your own topology.
  *
- * Usage: custom_cnn [--backend functional|isa|reference]
+ * Usage: custom_cnn [--backend functional|reference]
  *                   [--threads N] [--seed S]
  */
 
@@ -36,8 +36,7 @@ main(int argc, char **argv)
     uint64_t seed = 7;
     common::ArgParser args("custom_cnn",
                            "A custom CNN through the Engine API");
-    args.addString("backend", &backend_name,
-                   "functional|isa|reference");
+    args.addString("backend", &backend_name, "functional|reference");
     args.addUnsigned("threads", &threads,
                      "worker threads (0 = auto)");
     args.addUint64("seed", &seed, "weight/input seed");
@@ -46,8 +45,8 @@ main(int argc, char **argv)
     core::BackendKind backend;
     if (!core::parseBackendKind(backend_name, backend) ||
         backend == core::BackendKind::Analytic)
-        nc_fatal("--backend must be functional, isa, or reference "
-                 "(got '%s')", backend_name.c_str());
+        nc_fatal("--backend must be functional or reference (got "
+                 "'%s')", backend_name.c_str());
 
     // The topology: conv -> pool -> conv -> pool -> 1x1 head.
     dnn::Network net;

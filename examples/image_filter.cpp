@@ -11,7 +11,7 @@
  * in-cache, then extracts a bright-region mask with a raw bit-serial
  * compare, and renders the stages as ASCII art.
  *
- * Usage: image_filter [--backend functional|isa|reference]
+ * Usage: image_filter [--backend functional|reference]
  */
 
 #include <cstdio>
@@ -71,15 +71,14 @@ main(int argc, char **argv)
     std::string backend_name = "functional";
     common::ArgParser args("image_filter",
                            "In-cache box blur + threshold mask");
-    args.addString("backend", &backend_name,
-                   "functional|isa|reference");
+    args.addString("backend", &backend_name, "functional|reference");
     args.parse(argc, argv);
 
     core::BackendKind backend;
     if (!core::parseBackendKind(backend_name, backend) ||
         backend == core::BackendKind::Analytic)
-        nc_fatal("--backend must be functional, isa, or reference "
-                 "(got '%s')", backend_name.c_str());
+        nc_fatal("--backend must be functional or reference (got "
+                 "'%s')", backend_name.c_str());
 
     auto img = makeImage();
     render("input (synthetic, 24x24):",

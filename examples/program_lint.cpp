@@ -14,7 +14,7 @@
  *
  * Usage: program_lint [--network lenet|inception|inception-small|
  *                       alexnet|vgg16|resnet18]
- *                     [--backend analytic|functional|isa|reference]
+ *                     [--backend analytic|functional|reference]
  *                     [--threads N]
  */
 
@@ -88,14 +88,14 @@ main(int argc, char **argv)
                    "lenet|inception|inception-small|alexnet|vgg16|"
                    "resnet18");
     args.addString("backend", &backend_name,
-                   "analytic|functional|isa|reference");
+                   "analytic|functional|reference");
     args.addUnsigned("threads", &threads, "worker threads (0 = auto)");
     args.parse(argc, argv);
 
     core::BackendKind backend;
     if (!core::parseBackendKind(backend_name, backend))
-        nc_fatal("--backend must be analytic, functional, isa, or "
-                 "reference (got '%s')", backend_name.c_str());
+        nc_fatal("--backend must be analytic, functional, or reference "
+                 "(got '%s')", backend_name.c_str());
 
     dnn::Network net = netByName(network);
 
@@ -107,9 +107,9 @@ main(int argc, char **argv)
     // compile() runs the verifier unconditionally and dies on the
     // first violation; a second pass with the reporting sink makes
     // the per-layer stats visible. The analytic backend verifies the
-    // synthesized canonical programs without placing the model; the
-    // functional ones verify the prepared programs plus the audited
-    // band placement.
+    // canonical programs without placing the model; a functional
+    // compile verifies the streams its prepared kernels run, plus the
+    // audited band placement.
     std::vector<core::verify::LayerProgramReport> reports;
     core::verify::VerifySummary sum;
     if (backend == core::BackendKind::Analytic) {

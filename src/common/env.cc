@@ -18,8 +18,8 @@ namespace
 {
 
 /** Every environment variable the simulator reads. Keep sorted. */
-constexpr const char *kKnown[] = {"NC_DEBUG", "NC_FAULTS",
-                                  "NC_SIMD", "NC_THREADS"};
+constexpr const char *kKnown[] = {"NC_FAULTS", "NC_SIMD",
+                                  "NC_THREADS"};
 
 size_t
 editDistance(const std::string &a, const char *b)
@@ -62,9 +62,15 @@ checkEnvOrDie()
                 hint = k;
             }
         }
+        std::string known;
+        for (const char *k : kKnown) {
+            if (!known.empty())
+                known += ", ";
+            known += k;
+        }
         nc_fatal("unknown environment variable %s (did you mean %s? "
-                 "known: NC_DEBUG, NC_FAULTS, NC_SIMD, NC_THREADS)",
-                 name.c_str(), hint);
+                 "known: %s)",
+                 name.c_str(), hint, known.c_str());
     }
 }
 

@@ -4,7 +4,7 @@
  *
  * Every knob this simulator reads from the environment begins with
  * "NC_", and each reader parses its value strictly (thread_pool.cc,
- * trace.cc, sram/faults.cc). That strictness is worthless if the
+ * sram/kernels.cc, sram/faults.cc). That strictness is worthless if the
  * variable name itself is typo'd: NC_FAULT=kill=0.5 silently runs
  * the fault-free configuration it was meant to perturb. So startup
  * scans the whole environment once and dies on any unrecognized

@@ -5,8 +5,8 @@
  *
  * The simulator's parallelism is embarrassingly regular: a convolution
  * layer is w.m independent per-filter-batch array programs, a pooling
- * layer is independent output windows, a broadcast instruction expands
- * identically on every enrolled array. parallelFor() covers all of
+ * layer is independent output windows, a stage's branches and a
+ * batch's images are independent chains. parallelFor() covers all of
  * these: it runs fn(i) for every i in [0, n), distributing indices
  * over the workers (plus the calling thread) through one shared
  * atomic cursor — no work stealing, no task graph.

@@ -3,7 +3,6 @@
 #include "common/logging.hh"
 #include "core/compiled_model.hh"
 #include "core/executor.hh"
-#include "core/layer_engine.hh"
 #include "dnn/reference.hh"
 
 namespace nc::core
@@ -17,8 +16,6 @@ backendKindName(BackendKind k)
         return "reference";
       case BackendKind::Functional:
         return "functional";
-      case BackendKind::Isa:
-        return "isa";
       case BackendKind::Analytic:
         return "analytic";
     }
@@ -32,8 +29,6 @@ parseBackendKind(std::string_view name, BackendKind &out)
         out = BackendKind::Reference;
     else if (name == "functional")
         out = BackendKind::Functional;
-    else if (name == "isa")
-        out = BackendKind::Isa;
     else if (name == "analytic")
         out = BackendKind::Analytic;
     else
@@ -197,7 +192,7 @@ class ReferenceBackend : public Backend
     }
 };
 
-// ---- Functional (direct-ALU Executor) -------------------------------
+// ---- Functional (bit-serial Executor) -------------------------------
 
 class FunctionalBackend : public Backend
 {
@@ -261,79 +256,10 @@ class FunctionalBackend : public Backend
     Executor &ex;
 };
 
-// ---- ISA (broadcast LayerEngine) ------------------------------------
-
-class IsaBackend : public Backend
-{
-  public:
-    IsaBackend(LayerEngine &le_, Executor &ex_) : le(le_), ex(ex_) {}
-
-    std::vector<uint32_t>
-    conv(CompiledLayer &layer, const dnn::QTensor &in, unsigned &out_h,
-         unsigned &out_w, const ExecContext &ctx) override
-    {
-        nc_assert(layer.isaConv.has_value(),
-                  "layer '%s' was not prepared for the ISA backend",
-                  layer.op.name().c_str());
-        return layer.isaConv->run(in, out_h, out_w, ctx.slot);
-    }
-
-    dnn::QTensor
-    maxPool(CompiledLayer &layer, const dnn::QTensor &in,
-            const ExecContext &ctx) override
-    {
-        // The broadcast MaxInto program sequences VALID and SAME
-        // windows alike (edge windows just run shorter programs), so
-        // the executor fallback SAME padding used to need is gone.
-        const dnn::PoolOp &po = layer.op.pool;
-        return le.maxPoolLayerAt(layer.scratchArray + ctx.arrayOffset,
-                                 in, po.r, po.s, po.stride,
-                                 po.samePad);
-    }
-
-    dnn::QTensor
-    avgPool(CompiledLayer &layer, const dnn::QTensor &in,
-            const ExecContext &ctx) override
-    {
-        // No broadcast macro for the sum+divide sequence yet; the
-        // executor drives the identical bit-serial micro-ops.
-        const dnn::PoolOp &po = layer.op.pool;
-        return ex.avgPoolAt(layer.scratchArray + ctx.arrayOffset, in,
-                            po.r, po.s, po.stride, po.samePad);
-    }
-
-    dnn::QTensor
-    eltwiseAdd(CompiledLayer &layer, const dnn::QTensor &a,
-               const dnn::QTensor &b, const ExecContext &ctx) override
-    {
-        nc_assert(layer.isaElt.has_value(),
-                  "eltwise '%s' was not prepared for the ISA backend",
-                  layer.op.name().c_str());
-        dnn::QTensor out(a.channels(), a.height(), a.width(),
-                         a.params());
-        out.data() = layer.isaElt->run(a.data(), b.data(), ctx.slot);
-        return out;
-    }
-
-    std::vector<uint8_t>
-    requantize(CompiledLayer &layer,
-               const std::vector<uint32_t> &acc,
-               const ExecContext &ctx) override
-    {
-        return ex.requantizeAt(layer.scratchArray + ctx.arrayOffset,
-                               acc, layer.requantMult,
-                               layer.requantShift);
-    }
-
-  private:
-    LayerEngine &le;
-    Executor &ex;
-};
-
 } // namespace
 
 std::unique_ptr<Backend>
-makeBackend(BackendKind kind, Executor *ex, LayerEngine *le)
+makeBackend(BackendKind kind, Executor *ex)
 {
     switch (kind) {
       case BackendKind::Reference:
@@ -341,14 +267,10 @@ makeBackend(BackendKind kind, Executor *ex, LayerEngine *le)
       case BackendKind::Functional:
         nc_assert(ex, "functional backend needs an Executor");
         return std::make_unique<FunctionalBackend>(*ex);
-      case BackendKind::Isa:
-        nc_assert(ex && le,
-                  "ISA backend needs a LayerEngine and an Executor");
-        return std::make_unique<IsaBackend>(*le, *ex);
       case BackendKind::Analytic:
         break;
     }
-    nc_panic("no functional backend for kind '%s'",
+    nc_panic("no tensor backend for kind '%s'",
              backendKindName(kind));
 }
 

@@ -2,22 +2,22 @@
  * @file
  * Pluggable execution backends behind the Engine / CompiledModel API.
  *
- * One compiled network can be answered four ways:
+ * One compiled network can be answered three ways:
  *
  *  - Reference:  obviously-correct CPU loops (dnn::reference) — the
  *                ground truth every functional path is pinned to.
- *  - Functional: bit-serial array operations through core::Executor
- *                (direct ALU calls, per-filter-batch parallelism).
- *  - Isa:        the broadcast-ISA path through core::LayerEngine /
- *                Controller (one instruction stream, SIMD lock-step).
+ *  - Functional: bit-serial array operations through core::Executor,
+ *                whose conv, eltwise and max-pool kernels run the
+ *                verified in-cache instruction streams on every
+ *                array of a pass (per-filter-batch parallelism).
  *  - Analytic:   the paper's cost model (core::CostModel) — timing,
  *                phase breakdowns, and energy, no tensors.
  *
- * The three functional backends execute tensors through the Backend
- * interface and are bit-exact against each other by construction
- * (the backend-parity test suite enforces it). Analytic is not a
- * Backend: AnalyticBackend only prices, and it answers every run's
- * InferenceReport whichever backend executed the tensors. Functional
+ * Reference and Functional execute tensors through the Backend
+ * interface and are bit-exact against each other (the
+ * backend-parity test suite enforces it). Analytic is not a Backend:
+ * AnalyticBackend only prices, and it answers every run's
+ * InferenceReport whichever backend executed the tensors. Tensor
  * backends are selected per engine and overridable per layer for
  * mixed runs, and all share one common::ThreadPool.
  */
@@ -37,23 +37,21 @@ namespace nc::core
 {
 
 class Executor;
-class LayerEngine;
 struct CompiledLayer;
 
-/** The four ways a compiled layer can execute. */
+/** The three ways a compiled layer can execute. */
 enum class BackendKind
 {
     Reference,
     Functional,
-    Isa,
     Analytic,
 };
 
 const char *backendKindName(BackendKind k);
 
 /**
- * Parse a backend name ("reference", "functional", "isa",
- * "analytic"); returns false on unknown names.
+ * Parse a backend name ("reference", "functional", "analytic");
+ * returns false on unknown names.
  */
 bool parseBackendKind(std::string_view name, BackendKind &out);
 
@@ -70,7 +68,6 @@ bool parseBackendKind(std::string_view name, BackendKind &out);
  */
 struct ExecContext
 {
-    unsigned slot = 0;        ///< image slot (replica ordinal)
     uint64_t arrayOffset = 0; ///< flat-array offset of the replica
 };
 
@@ -171,13 +168,9 @@ class AnalyticBackend
 };
 
 /**
- * Build a functional backend. @p ex is required for Functional and
- * Isa (the Isa backend routes avg pooling and requantization through
- * the executor's bit-serial helpers — the ISA has no broadcast macro
- * for them yet); @p le is required for Isa.
+ * Build a tensor-executing backend. @p ex is required for Functional.
  */
-std::unique_ptr<Backend> makeBackend(BackendKind kind, Executor *ex,
-                                     LayerEngine *le);
+std::unique_ptr<Backend> makeBackend(BackendKind kind, Executor *ex);
 
 } // namespace nc::core
 

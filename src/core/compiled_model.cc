@@ -61,11 +61,9 @@ void
 CompiledModel::placeAndPrepare(bool force_streaming)
 {
     const cache::Geometry &geom = cfg.geometry;
-    bool uses_func = false, uses_isa = false;
-    for (const CompiledLayer &layer : layers) {
+    bool uses_func = false;
+    for (const CompiledLayer &layer : layers)
         uses_func |= layer.backend == BackendKind::Functional;
-        uses_isa |= layer.backend == BackendKind::Isa;
-    }
 
     // One scratch array per concurrently-executing branch (pools,
     // eltwise merges, and requantization scribble on it); stages
@@ -84,9 +82,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
 
     uint64_t whole_need = 0;
     for (const CompiledLayer &layer : layers) {
-        bool on_arrays = layer.backend == BackendKind::Functional ||
-                         layer.backend == BackendKind::Isa;
-        if (layer.op.isConv() && on_arrays)
+        if (layer.op.isConv() && layer.backend == BackendKind::Functional)
             whole_need += layer.funcPlan.totalArrays(layer.op.conv.m);
     }
     // The §IV-E batch banding: one image's footprint (stationary
@@ -116,10 +112,8 @@ CompiledModel::placeAndPrepare(bool force_streaming)
         uint64_t next = 0;
         for (size_t li = 0; li < layers.size(); ++li) {
             CompiledLayer &layer = layers[li];
-            bool on_arrays =
-                layer.backend == BackendKind::Functional ||
-                layer.backend == BackendKind::Isa;
-            if (!layer.op.isConv() || !on_arrays)
+            if (!layer.op.isConv() ||
+                layer.backend != BackendKind::Functional)
                 continue;
             uint64_t need =
                 layer.funcPlan.totalArrays(layer.op.conv.m);
@@ -155,22 +149,9 @@ CompiledModel::placeAndPrepare(bool force_streaming)
             for (size_t bi = 0; bi < cstage.branches.size(); ++bi) {
                 for (size_t li : cstage.branches[bi].layerIdx) {
                     const CompiledLayer &layer = layers[li];
-                    bool on_arrays =
-                        layer.backend == BackendKind::Functional ||
-                        layer.backend == BackendKind::Isa;
-                    if (!layer.op.isConv() || !on_arrays)
+                    if (!layer.op.isConv() ||
+                        layer.backend != BackendKind::Functional)
                         continue;
-                    nc_assert(layer.backend != BackendKind::Isa,
-                              "conv '%s': network '%s' exceeds the "
-                              "cache (%llu arrays needed, %llu "
-                              "total); the streaming regime is "
-                              "functional-backend only",
-                              layer.op.name().c_str(),
-                              net.name.c_str(),
-                              static_cast<unsigned long long>(
-                                  whole_need + scratch_slots),
-                              static_cast<unsigned long long>(
-                                  capacity));
                     need_b[bi] = std::max(
                         need_b[bi], layer.funcPlan.totalArrays(
                                         layer.op.conv.m));
@@ -222,10 +203,8 @@ CompiledModel::placeAndPrepare(bool force_streaming)
             for (size_t bi = 0; bi < cstage.branches.size(); ++bi) {
                 for (size_t li : cstage.branches[bi].layerIdx) {
                     CompiledLayer &layer = layers[li];
-                    bool on_arrays =
-                        layer.backend == BackendKind::Functional ||
-                        layer.backend == BackendKind::Isa;
-                    if (!layer.op.isConv() || !on_arrays)
+                    if (!layer.op.isConv() ||
+                        layer.backend != BackendKind::Functional)
                         continue;
                     place[li] = {next, band_b[bi], false};
                     layer.baseArray = next;
@@ -241,7 +220,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
     // Scratch arrays: one per branch slot, materialized now so the
     // parallel branch fan-out never mutates the lazy array map.
     // Pure-reference models are CPU loops only and touch no arrays.
-    if (uses_func || uses_isa) {
+    if (uses_func) {
         for (uint64_t i = 0; i < scratch_slots; ++i)
             cc->array(cc->coordOf(scratch_base + i));
     }
@@ -253,10 +232,8 @@ CompiledModel::placeAndPrepare(bool force_streaming)
     }
     scratchBase = scratch_base;
 
-    // Legacy direct Executor/LayerEngine helpers share slot 0.
+    // The per-call Executor helpers share slot 0.
     ex->setScratchBase(scratch_base);
-    if (isaEngine)
-        isaEngine->setScratchBase(scratch_base);
 
     // --- Pass C: prepare the per-layer kernels. --------------------
     for (size_t li = 0; li < layers.size(); ++li) {
@@ -283,17 +260,10 @@ CompiledModel::placeAndPrepare(bool force_streaming)
                           layer.funcConv->chunksPerBatch(),
                           layer.funcConv->plan().lanes,
                           layer.funcPlan.chunks, layer.funcPlan.lanes);
-            } else if (layer.backend == BackendKind::Isa)
-                layer.isaConv = isaEngine->prepareConv(
-                    layer.weights, co.stride, co.samePad,
-                    place[li].base);
+            }
         } else if (layer.op.kind == dnn::OpKind::EltwiseAdd) {
             if (layer.backend == BackendKind::Functional)
                 layer.funcElt = ex->prepareEltwise(
-                    layer.requantMult, layer.requantShift,
-                    layer.scratchArray);
-            else if (layer.backend == BackendKind::Isa)
-                layer.isaElt = isaEngine->prepareEltwise(
                     layer.requantMult, layer.requantShift,
                     layer.scratchArray);
         }
@@ -311,7 +281,6 @@ CompiledModel::backendFor(BackendKind k)
     // layers, and compile rejects per-layer analytic overrides.
     Backend *b = k == BackendKind::Reference    ? refBackend.get()
                  : k == BackendKind::Functional ? funcBackend.get()
-                 : k == BackendKind::Isa        ? isaBackend.get()
                                                 : nullptr;
     nc_assert(b, "backend '%s' was not instantiated at compile time",
               backendKindName(k));
@@ -640,32 +609,17 @@ CompiledModel::ensureImageSlots(unsigned want)
     nc_assert(want <= bandPlan.imageSlots,
               "%u image slots requested, capacity plans %u", want,
               bandPlan.imageSlots);
-    bool arrays_in_use = funcBackend != nullptr ||
-                         isaBackend != nullptr;
     for (unsigned slot = preparedSlots; slot < want; ++slot) {
         uint64_t off = uint64_t(slot) * bandPlan.perImageArrays;
         // The replica's scratch arrays, materialized now: the image
         // fan-out must never mutate the lazy array map.
-        if (arrays_in_use) {
+        if (funcBackend) {
             for (unsigned i = 0; i < bandPlan.scratchSlots; ++i)
                 cc->array(cc->coordOf(scratchBase + off + i));
         }
         for (CompiledLayer &layer : layers) {
             if (layer.funcConv)
                 layer.funcConv->pinReplica(layer.weights, off);
-            if (layer.isaConv) {
-                unsigned got =
-                    layer.isaConv->pinReplica(layer.weights, off);
-                nc_assert(got == slot,
-                          "ISA conv replica %u landed in slot %u",
-                          slot, got);
-            }
-            if (layer.isaElt) {
-                unsigned got = layer.isaElt->pinReplica(off);
-                nc_assert(got == slot,
-                          "ISA eltwise replica %u landed in slot %u",
-                          slot, got);
-            }
         }
     }
     preparedSlots = std::max(preparedSlots, want);
@@ -725,8 +679,7 @@ CompiledModel::runBatch(std::span<const dnn::QTensor> inputs)
             // the leaf kernels, which carry each image's
             // arrayOffset.)
             pool->parallelFor(count, [&](size_t k) {
-                ExecContext ctx{static_cast<unsigned>(k),
-                                k * bandPlan.perImageArrays};
+                ExecContext ctx{k * bandPlan.perImageArrays};
                 res.outputs[first + k] =
                     runLayers(inputs[first + k], ctx);
             });

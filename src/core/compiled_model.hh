@@ -24,7 +24,6 @@
 
 #include "core/backend.hh"
 #include "core/executor.hh"
-#include "core/layer_engine.hh"
 #include "dnn/layers.hh"
 #include "dnn/tensor.hh"
 #include "mapping/plan.hh"
@@ -39,8 +38,8 @@ class Engine;
  * One layer after compilation: the op descriptor plus everything the
  * compile pass derived for it. Conv/FC layers carry quantized
  * weights, the mapping plan, the preprocessed (transposed) DRAM
- * image, calibrated requantization scalars, and — per backend — the
- * prepared stationary-filter kernel.
+ * image, calibrated requantization scalars, and — on the functional
+ * backend — the prepared stationary-filter kernel.
  */
 struct CompiledLayer
 {
@@ -83,7 +82,6 @@ struct CompiledLayer
      * (streaming regime). */
     bool bandResident = true;
     std::optional<Executor::PreparedConv> funcConv;
-    std::optional<LayerEngine::PreparedConvLayer> isaConv;
     /// @}
 
     /** @name Pool artifacts */
@@ -94,7 +92,6 @@ struct CompiledLayer
     /** @name Eltwise artifacts */
     /// @{
     std::optional<Executor::PreparedEltwise> funcElt;
-    std::optional<LayerEngine::PreparedEltwiseLayer> isaElt;
     /// @}
 
     /**
@@ -250,9 +247,8 @@ class CompiledModel
     const sram::faults::Config &faultConfig() const { return faultCfg; }
     /**
      * Whether the runtime canary check runs after every pass: faults
-     * configured with canary on, and every on-array layer on the
-     * functional backend (the broadcast-ISA path has no runtime
-     * repair — it is covered by compile-time BIST only).
+     * configured with canary on, and some layer on the functional
+     * backend (a pure-reference model touches no arrays).
      */
     bool canaryArmed() const { return canaryOn; }
     /** Flat logical indices [0, extent) the current plan touches:
@@ -362,8 +358,7 @@ class CompiledModel
 
     std::unique_ptr<cache::ComputeCache> cc;
     std::unique_ptr<Executor> ex;
-    std::unique_ptr<LayerEngine> isaEngine;
-    std::unique_ptr<Backend> refBackend, funcBackend, isaBackend;
+    std::unique_ptr<Backend> refBackend, funcBackend;
     std::vector<CompiledLayer> layers;
     std::vector<CompiledStage> stages;
 };

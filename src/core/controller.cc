@@ -3,8 +3,7 @@
 #include "bitserial/alu.hh"
 #include "bitserial/extensions.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
-#include "sram/ownership.hh"
+#include "core/program_verify.hh"
 
 namespace nc::core
 {
@@ -15,40 +14,39 @@ namespace
 {
 
 void
-requireWidth(const Instruction &inst, const bs::VecSlice &s,
+requireWidth(size_t idx, const Instruction &inst, const bs::VecSlice &s,
              const char *which)
 {
     if (s.bits == 0)
-        nc_fatal("broadcast of %s rejected: zero-width %s operand",
-                 opcodeName(inst.op), which);
+        nc_fatal("instruction %zu (%s) rejected: zero-width %s operand",
+                 idx, opcodeName(inst.op), which);
 }
 
 /**
- * Operand sanity at the broadcast boundary: a zero-width slice would
- * make the bank FSM expand zero micro-ops and silently compute
- * nothing on every array in the group, so it is rejected by name
- * before any array sees the instruction.
+ * Operand sanity at the FSM boundary: a zero-width slice would make
+ * the bank FSM expand zero micro-ops and silently compute nothing, so
+ * it is rejected by name before the array sees the instruction.
  */
 void
-validateOperands(const Instruction &inst)
+validateOperands(size_t idx, const Instruction &inst)
 {
     switch (inst.op) {
       case Opcode::Copy:
       case Opcode::CopyInv:
-        requireWidth(inst, inst.a, "a");
-        requireWidth(inst, inst.out, "out");
+        requireWidth(idx, inst, inst.a, "a");
+        requireWidth(idx, inst, inst.out, "out");
         break;
       case Opcode::Zero:
-        requireWidth(inst, inst.out, "out");
+        requireWidth(idx, inst, inst.out, "out");
         break;
       case Opcode::Add:
       case Opcode::Sub:
       case Opcode::Multiply:
       case Opcode::Mac:
       case Opcode::Divide:
-        requireWidth(inst, inst.a, "a");
-        requireWidth(inst, inst.b, "b");
-        requireWidth(inst, inst.out, "out");
+        requireWidth(idx, inst, inst.a, "a");
+        requireWidth(idx, inst, inst.b, "b");
+        requireWidth(idx, inst, inst.out, "out");
         break;
       case Opcode::ReduceSum:
       case Opcode::ReduceMax:
@@ -57,172 +55,125 @@ validateOperands(const Instruction &inst)
       case Opcode::ShiftDown:
       case Opcode::Saturate:
       case Opcode::Search:
-        requireWidth(inst, inst.a, "a");
+        requireWidth(idx, inst, inst.a, "a");
         break;
       case Opcode::MaxInto:
       case Opcode::MinInto:
       case Opcode::BatchNorm:
-        requireWidth(inst, inst.a, "a");
-        requireWidth(inst, inst.b, "b");
+        requireWidth(idx, inst, inst.a, "a");
+        requireWidth(idx, inst, inst.b, "b");
         break;
       case Opcode::LoadTag:
         break; // one raw row, no width to check
     }
 }
 
-} // namespace
-
+/** Expand @p inst on @p arr (the per-bank FSM). */
 void
-Controller::enroll(const cache::ArrayCoord &coord)
-{
-    cc.array(coord); // materialize
-    group.push_back(coord);
-}
-
-uint64_t
-Controller::broadcast(const Instruction &inst)
-{
-    nc_assert(!group.empty(), "broadcast to an empty array group");
-    validateOperands(inst);
-    uint64_t cycles = 0;
-    bool first = true;
-    for (const auto &coord : group) {
-        uint64_t c = execute(cc.array(coord), inst);
-        if (first) {
-            cycles = c;
-            first = false;
-        } else if (c != cycles) {
-            nc_panic("lock-step divergence on %s: %llu vs %llu cycles",
-                     opcodeName(inst.op),
-                     static_cast<unsigned long long>(c),
-                     static_cast<unsigned long long>(cycles));
-        }
-    }
-    issued += cycles;
-    nc_dprintf("Controller", "%s -> %llu cycles across %zu arrays",
-               opcodeName(inst.op),
-               static_cast<unsigned long long>(cycles), group.size());
-    return cycles;
-}
-
-uint64_t
-Controller::run(const std::vector<Instruction> &program,
-                const std::function<void(const cache::ArrayCoord &)>
-                    *prologue)
-{
-    if (program.empty())
-        nc_fatal("Controller::run rejected: empty broadcast program "
-                 "(%zu arrays enrolled, nothing to execute)",
-                 group.size());
-    if (!pool || pool->size() <= 1 || group.size() <= 1) {
-        if (prologue) {
-            for (const auto &coord : group)
-                (*prologue)(coord);
-        }
-        uint64_t total = 0;
-        for (const auto &inst : program)
-            total += broadcast(inst);
-        return total;
-    }
-
-    // Fan the whole program (plus the optional per-array prologue)
-    // over the group: every array executes the identical instruction
-    // sequence on its own state, so running the arrays concurrently
-    // is bit-identical to interleaving them per instruction.
-    // Per-array, per-instruction cycle counts are recorded into the
-    // reused scratch and the lock-step divergence check runs after
-    // the join.
-    const size_t np = program.size();
-    for (const auto &inst : program)
-        validateOperands(inst);
-    runCycles.assign(group.size() * np, 0);
-    pool->parallelFor(group.size(), [&](size_t g) {
-        // Race detector (debug): each task owns its enrolled array.
-        [[maybe_unused]] sram::ownership::ClaimScope own(
-            cc.ownershipRegistry(),
-            sram::ownership::Range{cc.flatIndex(group[g]), 1}, 0,
-            "broadcast program task");
-        if (prologue)
-            (*prologue)(group[g]);
-        sram::Array &arr = cc.array(group[g]);
-        for (size_t i = 0; i < np; ++i)
-            runCycles[g * np + i] = execute(arr, program[i]);
-    });
-
-    uint64_t total = 0;
-    for (size_t i = 0; i < np; ++i) {
-        uint64_t c = runCycles[i];
-        for (size_t g = 1; g < group.size(); ++g) {
-            if (runCycles[g * np + i] != c) {
-                nc_panic("lock-step divergence on %s: %llu vs %llu "
-                         "cycles",
-                         opcodeName(program[i].op),
-                         static_cast<unsigned long long>(
-                             runCycles[g * np + i]),
-                         static_cast<unsigned long long>(c));
-            }
-        }
-        issued += c;
-        nc_dprintf("Controller", "%s -> %llu cycles across %zu arrays",
-                   opcodeName(program[i].op),
-                   static_cast<unsigned long long>(c), group.size());
-        total += c;
-    }
-    return total;
-}
-
-uint64_t
-Controller::execute(sram::Array &arr, const Instruction &inst)
+execute(sram::Array &arr, const Instruction &inst)
 {
     switch (inst.op) {
       case Opcode::Copy:
-        return bs::copy(arr, inst.a, inst.out, inst.pred);
+        bs::copy(arr, inst.a, inst.out, inst.pred);
+        return;
       case Opcode::CopyInv:
-        return bs::copyInv(arr, inst.a, inst.out, inst.pred);
+        bs::copyInv(arr, inst.a, inst.out, inst.pred);
+        return;
       case Opcode::Zero:
-        return bs::zero(arr, inst.out, inst.pred);
+        bs::zero(arr, inst.out, inst.pred);
+        return;
       case Opcode::Add:
-        return bs::add(arr, inst.a, inst.b, inst.out, inst.zeroRow,
-                       inst.pred, inst.carryIn);
+        bs::add(arr, inst.a, inst.b, inst.out, inst.zeroRow, inst.pred,
+                inst.carryIn);
+        return;
       case Opcode::Sub:
-        return bs::sub(arr, inst.a, inst.b, inst.out, inst.scratch,
-                       inst.zeroRow, inst.pred);
+        bs::sub(arr, inst.a, inst.b, inst.out, inst.scratch,
+                inst.zeroRow, inst.pred);
+        return;
       case Opcode::Multiply:
-        return bs::multiply(arr, inst.a, inst.b, inst.out);
+        bs::multiply(arr, inst.a, inst.b, inst.out);
+        return;
       case Opcode::Mac:
-        return bs::macScratch(arr, inst.a, inst.b, inst.out,
-                              inst.scratch, inst.zeroRow);
+        bs::macScratch(arr, inst.a, inst.b, inst.out, inst.scratch,
+                       inst.zeroRow);
+        return;
       case Opcode::ReduceSum:
-        return bs::reduceSum(arr, inst.a, inst.imm2, inst.imm,
-                             inst.scratch);
+        bs::reduceSum(arr, inst.a, inst.imm2, inst.imm, inst.scratch);
+        return;
       case Opcode::ReduceMax:
-        return bs::reduceMax(arr, inst.a, inst.imm, inst.scratch,
-                             inst.scratch2);
+        bs::reduceMax(arr, inst.a, inst.imm, inst.scratch,
+                      inst.scratch2);
+        return;
       case Opcode::MaxInto:
-        return bs::maxInto(arr, inst.a, inst.b, inst.scratch);
+        bs::maxInto(arr, inst.a, inst.b, inst.scratch);
+        return;
       case Opcode::MinInto:
-        return bs::minInto(arr, inst.a, inst.b, inst.scratch);
+        bs::minInto(arr, inst.a, inst.b, inst.scratch);
+        return;
       case Opcode::Relu:
-        return bs::relu(arr, inst.a);
+        bs::relu(arr, inst.a);
+        return;
       case Opcode::ShiftUp:
-        return bs::shiftUp(arr, inst.a, inst.imm);
+        bs::shiftUp(arr, inst.a, inst.imm);
+        return;
       case Opcode::ShiftDown:
-        return bs::shiftDown(arr, inst.a, inst.imm);
+        bs::shiftDown(arr, inst.a, inst.imm);
+        return;
       case Opcode::Saturate:
-        return bs::saturate(arr, inst.a, inst.imm);
+        bs::saturate(arr, inst.a, inst.imm);
+        return;
       case Opcode::Divide:
-        return bs::divide(arr, inst.a, inst.b, inst.out, inst.scratch,
-                          inst.scratch2, inst.c);
+        bs::divide(arr, inst.a, inst.b, inst.out, inst.scratch,
+                   inst.scratch2, inst.c);
+        return;
       case Opcode::BatchNorm:
-        return bs::batchNorm(arr, inst.a, inst.b, inst.c, inst.imm,
-                             inst.scratch, inst.zeroRow);
+        bs::batchNorm(arr, inst.a, inst.b, inst.c, inst.imm,
+                      inst.scratch, inst.zeroRow);
+        return;
       case Opcode::Search:
-        return bs::searchKey(arr, inst.a, inst.key);
+        bs::searchKey(arr, inst.a, inst.key);
+        return;
       case Opcode::LoadTag:
         arr.opLoadTag(inst.a.base);
-        return 1;
+        return;
     }
     nc_panic("undecodable opcode %d", static_cast<int>(inst.op));
+}
+
+} // namespace
+
+uint64_t
+runProgram(sram::Array &arr, const std::vector<Instruction> &program,
+           size_t first, size_t last, const bitserial::AluConfig &model)
+{
+    if (first >= last)
+        nc_fatal("runProgram rejected: empty program range [%zu,%zu) "
+                 "of a %zu-instruction program (nothing to execute)",
+                 first, last, program.size());
+    nc_assert(last <= program.size(),
+              "runProgram: range [%zu,%zu) overruns a %zu-instruction "
+              "program", first, last, program.size());
+
+    uint64_t total = 0;
+    for (size_t i = first; i < last; ++i) {
+        const Instruction &inst = program[i];
+        validateOperands(i, inst);
+        const uint64_t before = arr.computeCycles();
+        execute(arr, inst);
+        const uint64_t charged = arr.computeCycles() - before;
+        // The runtime half of the cycle cross-check: what the array
+        // was charged must be what the verifier proved statically.
+        const uint64_t expect = verify::instructionCycles(inst, model);
+        if (charged != expect)
+            nc_panic("cycle divergence at instruction %zu (%s): the "
+                     "expansion charged %llu cycles, the static model "
+                     "prices %llu",
+                     i, opcodeName(inst.op),
+                     static_cast<unsigned long long>(charged),
+                     static_cast<unsigned long long>(expect));
+        total += charged;
+    }
+    return total;
 }
 
 } // namespace nc::core

@@ -1,88 +1,59 @@
 /**
  * @file
- * The broadcast controller (paper §IV-F).
+ * The per-bank controller (paper §IV-F).
  *
  * The intra-slice address bus carries one compute instruction to
  * every bank; a small per-bank FSM (204 um^2) expands it into word
- * line / sense / write-back control sequences. This class models
- * that: a group of enrolled arrays receives each Instruction and
- * executes the identical micro-op sequence, so the whole group stays
- * in SIMD lock-step — which the controller asserts after every
- * broadcast.
+ * line / sense / write-back control sequences. runProgram() models
+ * that FSM on one array, and it is the only way conv windows, eltwise
+ * merges and max-pool folds touch an array: the functional kernels
+ * run the very streams the static verifier (program_verify.hh)
+ * proves, one task per array, every array of a pass receiving the
+ * identical stream.
+ *
+ * Each run checks itself against the verifier: the cycles an
+ * instruction's expansion charged must equal the static cycle model
+ * (verify::instructionCycles) for that instruction, or the run panics
+ * naming the opcode and instruction index. Together with the
+ * compile-time proof that the static sum equals the CostModel's
+ * charge, that pins the functional cycle counters to the analytic
+ * model.
  */
 
 #ifndef NC_CORE_CONTROLLER_HH
 #define NC_CORE_CONTROLLER_HH
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "cache/compute_cache.hh"
-#include "common/thread_pool.hh"
+#include "bitserial/cost.hh"
 #include "core/isa.hh"
+#include "sram/array.hh"
 
 namespace nc::core
 {
 
-/** Broadcasts in-cache instructions to a lock-step array group. */
-class Controller
+/**
+ * Expand instructions [first, last) of @p program on @p arr; returns
+ * the compute cycles they charged. Zero-width operands and an empty
+ * range are rejected by name before the array sees anything. The FSM
+ * expands at the ALU's native timing (bitserial::AluConfig{});
+ * @p model is the static cycle model each instruction's charge must
+ * match, so a model that misprices an opcode dies on the first
+ * instruction it gets wrong.
+ */
+uint64_t runProgram(sram::Array &arr,
+                    const std::vector<Instruction> &program,
+                    size_t first, size_t last,
+                    const bitserial::AluConfig &model = {});
+
+/** Run the whole of @p program on @p arr. */
+inline uint64_t
+runProgram(sram::Array &arr, const std::vector<Instruction> &program)
 {
-  public:
-    /**
-     * @param pool_ optional worker pool: run() fans the per-array
-     *     program expansions over it (each enrolled array executes
-     *     the identical instruction stream independently, exactly as
-     *     the per-bank FSMs do in hardware). No pool = serial.
-     */
-    explicit Controller(cache::ComputeCache &cc_,
-                        common::ThreadPool *pool_ = nullptr)
-        : cc(cc_), pool(pool_)
-    {
-    }
-
-    /** Add an array to the broadcast group (materializes it). */
-    void enroll(const cache::ArrayCoord &coord);
-
-    size_t groupSize() const { return group.size(); }
-
-    /**
-     * Issue one instruction to every enrolled array. Returns the
-     * compute cycles the instruction took (identical across the
-     * group by construction; panics if an array diverges).
-     */
-    uint64_t broadcast(const Instruction &inst);
-
-    /**
-     * Issue a whole program; returns total cycles. With a pool, the
-     * whole program runs on every array in parallel (one task per
-     * array — arrays never share state, so this is bit-identical to
-     * the serial instruction-by-instruction broadcast), and the
-     * per-instruction lock-step check runs after the join.
-     *
-     * @param prologue optional per-array setup (e.g. streaming the
-     *     window's input bytes) run on each enrolled array before its
-     *     program — folded into the same fan-out so a window costs
-     *     one wake/join round-trip, not two. Receives the array's
-     *     coordinate and must touch only that array's state.
-     */
-    uint64_t run(const std::vector<Instruction> &program,
-                 const std::function<void(const cache::ArrayCoord &)>
-                     *prologue = nullptr);
-
-    /** Cycles issued by this controller so far. */
-    uint64_t cyclesIssued() const { return issued; }
-
-  private:
-    /** Expand @p inst on one array (the per-bank FSM). */
-    uint64_t execute(sram::Array &arr, const Instruction &inst);
-
-    cache::ComputeCache &cc;
-    common::ThreadPool *pool;
-    std::vector<cache::ArrayCoord> group;
-    uint64_t issued = 0;
-    /** Per-(array, instruction) cycle records, reused across run()s. */
-    std::vector<uint64_t> runCycles;
-};
+    return runProgram(arr, program, 0, program.size());
+}
 
 } // namespace nc::core
 

@@ -185,41 +185,24 @@ Engine::compile(const dnn::Network &net,
     }
 
     // Which backends do the layers actually use?
-    bool uses_isa = opts.backend == BackendKind::Isa;
     bool uses_func = opts.backend == BackendKind::Functional;
     bool uses_ref = opts.backend == BackendKind::Reference;
     for (const auto &[name, kind] : opts.layerBackends) {
         nc_assert(kind != BackendKind::Analytic,
                   "layer '%s': per-layer analytic override is "
                   "meaningless in a functional engine", name.c_str());
-        uses_isa |= kind == BackendKind::Isa;
         uses_func |= kind == BackendKind::Functional;
         uses_ref |= kind == BackendKind::Reference;
     }
-    if (uses_isa)
-        m.isaEngine = std::make_unique<LayerEngine>(*m.cc, *pool);
 
-    // Runtime repair (canary check -> retire -> re-pin -> retry) is
-    // functional-backend-only: the broadcast-ISA engine caches
-    // per-array programs the remap would silently invalidate. ISA
-    // layer mixes still get compile-time BIST, but injecting
-    // mid-run transients into them would corrupt outputs with no
-    // detector — refuse the campaign instead.
-    if (opts.faults.enabled()) {
-        if (uses_isa && opts.faults.transientRate > 0)
-            nc_fatal("'%s' routes layers to the broadcast-ISA "
-                     "backend, which has no runtime repair; "
-                     "transient injection (rate %g) requires an "
-                     "all-functional layer mix (BIST-only campaigns "
-                     "— transient=0 — work on any backend)",
-                     net.name.c_str(), opts.faults.transientRate);
-        m.canaryOn = opts.faults.canary && uses_func && !uses_isa;
-    }
+    // Runtime repair (canary check -> retire -> re-pin -> retry)
+    // guards the arrays the functional layers run on.
+    if (opts.faults.enabled())
+        m.canaryOn = opts.faults.canary && uses_func;
 
     // --- Pass A: validate the topology and build the per-layer and
     // per-stage program structure (no array placement yet). ---------
     Shape shape{m.inC, m.inH, m.inW};
-    size_t max_branches = 1;
     // Conv layers whose weights the parallel step after this walk
     // prepares, each with the caller's bank (null = seeded).
     std::vector<std::pair<size_t, const dnn::QWeights *>> convs;
@@ -245,7 +228,6 @@ Engine::compile(const dnn::Network &net,
                       scp.input.c, scp.input.h, scp.input.w, shape.c,
                       shape.h, shape.w);
         }
-        max_branches = std::max(max_branches, stage.branches.size());
 
         CompiledModel::CompiledStage cstage;
         cstage.shortcutBranch = scp.shortcutBranch;
@@ -264,9 +246,6 @@ Engine::compile(const dnn::Network &net,
                 if (auto it = opts.layerBackends.find(op.name());
                     it != opts.layerBackends.end())
                     layer.backend = it->second;
-                bool on_arrays =
-                    layer.backend == BackendKind::Functional ||
-                    layer.backend == BackendKind::Isa;
 
                 if (op.isConv()) {
                     const dnn::ConvOp &co = op.conv;
@@ -279,16 +258,10 @@ Engine::compile(const dnn::Network &net,
                     // shape.
                     layer.funcPlan =
                         mapping::planFunctionalConv(co, geom);
-                    nc_assert(!on_arrays || layer.funcPlan.fits,
+                    nc_assert(layer.backend != BackendKind::Functional ||
+                                  layer.funcPlan.fits,
                               "conv '%s' (C=%u RxS=%ux%u) exceeds "
                               "every functional mapping",
-                              co.name.c_str(), co.c, co.r, co.s);
-                    nc_assert(layer.backend != BackendKind::Isa ||
-                                  layer.funcPlan.legacy,
-                              "conv '%s' (C=%u RxS=%ux%u) needs the "
-                              "pack/split/chunk mapping, which the "
-                              "broadcast ISA path does not support; "
-                              "route it to the functional backend",
                               co.name.c_str(), co.c, co.r, co.s);
 
                     // Weights: explicit bank, else deterministic
@@ -371,19 +344,13 @@ Engine::compile(const dnn::Network &net,
     // Shared with the runtime repair path, which re-places the plan
     // over fewer arrays after retirements — compile is just the
     // first placement, over the BIST survivors.
-    (void)max_branches;
     m.placeAndPrepare(false);
 
     // 3. Instantiate the backends the layers use.
     if (uses_ref)
-        m.refBackend = makeBackend(BackendKind::Reference, m.ex.get(),
-                                   nullptr);
+        m.refBackend = makeBackend(BackendKind::Reference, m.ex.get());
     if (uses_func)
-        m.funcBackend = makeBackend(BackendKind::Functional,
-                                    m.ex.get(), nullptr);
-    if (uses_isa)
-        m.isaBackend = makeBackend(BackendKind::Isa, m.ex.get(),
-                                   m.isaEngine.get());
+        m.funcBackend = makeBackend(BackendKind::Functional, m.ex.get());
 
     // 4. The static band-plan audit: prove every concurrently-live
     //    range disjoint and in-bounds before the model can run.

@@ -41,8 +41,9 @@ struct EngineOptions
     BackendKind backend = BackendKind::Functional;
     /**
      * Per-layer overrides by op name (mixed runs: e.g. convs on the
-     * ISA path, pools on the direct-ALU path). Only meaningful for
-     * functional engines; overriding to Analytic is an error.
+     * functional path, the rest on the reference loops). Only
+     * meaningful for tensor-executing engines; overriding to Analytic
+     * is an error.
      */
     std::map<std::string, BackendKind> layerBackends;
     /** Worker threads shared engine-wide (0 = NC_THREADS / hw). */
@@ -86,9 +87,7 @@ class Engine
      * Engine at once. Functional backends execute whole multi-branch
      * stages (branch outputs channel-concatenate; an eltwise tail
      * merges with the shortcut branch or the stage input) and any
-     * conv shape mapping::planFunctionalConv can place — the
-     * broadcast-ISA conv path alone still requires the untransformed
-     * one-array mapping and whole-network residency.
+     * conv shape mapping::planFunctionalConv can place.
      */
     CompiledModel compile(const dnn::Network &net,
                           const ModelWeights &weights = {}) const;

@@ -9,6 +9,8 @@
 #include "common/arena.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
+#include "core/controller.hh"
+#include "core/program_verify.hh"
 #include "dnn/layers.hh"
 #include "sram/ownership.hh"
 
@@ -45,9 +47,11 @@ Executor::prepareConv(const dnn::QWeights &w, unsigned stride,
               "conv (C=%u RxS=%ux%u) exceeds every functional "
               "mapping of a %ux%u array", w.c, w.r, w.s,
               cc.geometry().arrayRows, cc.geometry().arrayCols);
-    // The Figure-10 slice map, shared with the ISA path: every array
-    // gets the identical layout, so it is derived once here.
+    // The Figure-10 slice map and the per-window program over it:
+    // every array gets the identical layout and runs the identical
+    // stream, so both are derived once here.
     p.rows = mapping::makeConvRowLayout(cc.geometry(), p.fplan);
+    p.prog = verify::convWindowProgram(p.rows);
 
     uint64_t need = p.fplan.totalArrays(w.m);
     p.band = band_arrays == 0 ? need : std::min(band_arrays, need);
@@ -156,7 +160,6 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
                             const dnn::QWeights &w, unsigned &out_h,
                             unsigned &out_w, uint64_t array_offset)
 {
-    const unsigned acc_bits = 24;
     cache::ComputeCache &cc = ex->cc;
     nc_assert(in.channels() == c,
               "prepared conv expects %u input channels, got %u", c,
@@ -231,12 +234,17 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
                 return in.at(ci, iy, ix);
             };
 
+            // The window program: zero the partials, RxS MACs, one
+            // reduction.
+            const size_t np = prog.size();
             for (unsigned y = 0; y < oh; ++y) {
                 for (unsigned x = 0; x < ow; ++x) {
                     if (pack > 1) {
                         // Packed 1x1: one input slot, one byte per
-                        // MAC, each lane covering `pack` channels.
-                        bs::zero(arr, rows.partial);
+                        // MAC, each lane covering `pack` channels —
+                        // so each MAC runs right after its byte
+                        // lands in the slot.
+                        runProgram(arr, prog, 0, 1);
                         int iy = static_cast<int>(y * stride) -
                                  static_cast<int>(ph);
                         int ix = static_cast<int>(x * stride) -
@@ -252,16 +260,14 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
                                     vals[l] = in_at(ci, iy, ix);
                             }
                             bs::storeVector(arr, rows.inp[0], vals);
-                            bs::macScratch(
-                                arr, rows.filt[k], rows.inp[0],
-                                rows.partial.slice(0, acc_bits),
-                                rows.scratch, rows.zrow);
+                            runProgram(arr, prog, 1 + k, 2 + k);
                         }
+                        runProgram(arr, prog, np - 1, np);
                     } else {
                         // Stream the input window (zero padding stays
-                        // zero), then the MAC sequence — the original
-                        // kernel order, so untransformed shapes stay
-                        // cycle-identical.
+                        // zero), then the whole program — the
+                        // original kernel order, so untransformed
+                        // shapes stay cycle-identical.
                         for (unsigned k = 0; k < rows.rs; ++k) {
                             std::fill(vals.begin(), vals.end(), 0);
                             if (split > 1) {
@@ -305,17 +311,8 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
                             }
                             bs::storeVector(arr, rows.inp[k], vals);
                         }
-                        // RxS MACs per bit line, then the reduction.
-                        bs::zero(arr, rows.partial);
-                        for (unsigned k = 0; k < rows.rs; ++k) {
-                            bs::macScratch(
-                                arr, rows.filt[k], rows.inp[k],
-                                rows.partial.slice(0, acc_bits),
-                                rows.scratch, rows.zrow);
-                        }
+                        runProgram(arr, prog);
                     }
-                    bs::reduceSum(arr, rows.partial, acc_bits,
-                                  rows.lanes, rows.redScratch);
 
                     uint64_t sum =
                         bs::loadLane(arr, rows.partial, 0);
@@ -420,17 +417,20 @@ Executor::maxPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
     std::vector<std::pair<uint64_t, uint64_t>> charged(
         chunks > 0 ? chunks : 1, {0, 0});
 
+    // The shared carve-up and the full-window fold program the
+    // program verifier proves: a window's j-th valid element runs
+    // instruction j (the first seeds the running max, the rest fold
+    // into it), so a window with v valid elements runs the program's
+    // v-instruction prefix.
+    const mapping::PoolRowLayout prows =
+        mapping::makePoolRowLayout(cc.geometry());
+    const std::vector<Instruction> fold =
+        verify::maxPoolWindowProgram(prows, r * s);
+
     dnn::QTensor out(in.channels(), oh, ow, in.params());
     pool.parallelFor(chunks, [&](size_t chunk) {
         sram::Array arr(arows, cols);
         arr.setReferenceMode(model.referenceMode());
-        // The shared carve-up the broadcast engine and the program
-        // verifier use too — one slice map for every max-pool kernel.
-        mapping::PoolRowLayout prows =
-            mapping::makePoolRowLayout(cc.geometry());
-        bs::VecSlice cur = prows.cur;
-        bs::VecSlice best = prows.best;
-        bs::VecSlice cmp = prows.cmp;
 
         size_t lo = windows * chunk / chunks;
         size_t hi = windows * (chunk + 1) / chunks;
@@ -443,7 +443,7 @@ Executor::maxPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
             unsigned c0 = static_cast<unsigned>(wi % cpasses) *
                           cchunk;
             unsigned c1 = std::min(in.channels(), c0 + cchunk);
-            bool first = true;
+            size_t j = 0;
             for (unsigned ri = 0; ri < r; ++ri) {
                 for (unsigned si = 0; si < s; ++si) {
                     int iy = static_cast<int>(y * stride + ri) -
@@ -457,18 +457,14 @@ Executor::maxPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
                     std::fill(iv.begin(), iv.end(), 0);
                     for (unsigned ci = c0; ci < c1; ++ci)
                         iv[ci - c0] = in.at(ci, iy, ix);
-                    bs::storeVector(arr, cur, iv);
-                    if (first) {
-                        bs::copy(arr, cur, best);
-                        first = false;
-                    } else {
-                        bs::maxInto(arr, best, cur, cmp);
-                    }
+                    bs::storeVector(arr, prows.cur, iv);
+                    runProgram(arr, fold, j, j + 1);
+                    ++j;
                 }
             }
             for (unsigned ci = c0; ci < c1; ++ci) {
                 out.at(ci, y, x) = static_cast<uint8_t>(
-                    bs::loadLane(arr, best, ci - c0));
+                    bs::loadLane(arr, prows.best, ci - c0));
             }
         }
         charged[chunk] = {arr.computeCycles(), arr.accessCycles()};
@@ -682,12 +678,14 @@ Executor::prepareEltwise(uint8_t mult, unsigned shift,
     p.scratch = scratch_array;
     cc.array(cc.coordOf(scratch_array)); // materialize up front
 
-    // Row carve-up, fixed once: the shared mapping-layer map (two
-    // operand bytes, the 9-bit sum, the broadcast multiplier, the
-    // 17-bit product shifted and saturated in place) — identical to
-    // the ISA backend's, which is what lets the program verifier
-    // check one canonical merge program for both.
+    // Row carve-up and merge program, fixed once: the shared
+    // mapping-layer map (two operand bytes, the 9-bit sum, the
+    // broadcast multiplier, the 17-bit product shifted and saturated
+    // in place) and sat8(((a + b) * mult) >> shift) over it — widen
+    // add, multiply by the calibrated 8-bit scalar, truncating shift,
+    // in-array clamp (the §IV-D sequence, one lane per element).
     p.rows = mapping::makeEltwiseRowLayout(cc.geometry());
+    p.prog = verify::eltwiseMergeProgram(p.rows, shift);
     return p;
 }
 
@@ -726,14 +724,7 @@ Executor::PreparedEltwise::run(const std::vector<uint8_t> &a,
         for (size_t i = 0; i < n; ++i)
             iv[i] = b[base + i];
         bs::storeVector(arr, rows.vb, iv.first(n));
-
-        // sat8(((a + b) * mult) >> shift): widen add, multiply by
-        // the calibrated 8-bit scalar, truncating shift, in-array
-        // clamp (the §IV-D sequence, one lane per element).
-        bs::add(arr, rows.va, rows.vb, rows.acc, rows.zrow);
-        bs::multiply(arr, rows.acc, rows.gain, rows.prod);
-        bs::shiftDown(arr, rows.prod, sh);
-        bs::saturate(arr, rows.prod, bits);
+        runProgram(arr, prog);
         for (size_t i = 0; i < n; ++i) {
             out[base + i] = static_cast<uint8_t>(bs::loadLane(
                 arr, rows.prod.slice(0, bits),

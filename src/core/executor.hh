@@ -12,6 +12,14 @@
  * cycle counters, which keeps the functional and analytic models
  * honest with each other.
  *
+ * Conv windows, eltwise merges and max-pool folds are instruction
+ * streams: each kernel builds its program once from the canonical
+ * builders (program_verify.hh) and every array runs it through the
+ * per-bank FSM (controller.hh) — the stream the compile-time
+ * verifier proves is the stream that executes. Requantization and
+ * average pooling have no canonical program and issue ALU calls
+ * directly.
+ *
  * Parallelism: the independent units of a layer (per-filter-batch
  * array programs in conv/fc, output windows in maxPool) fan out over
  * a common::ThreadPool. Each task owns its array and writes a
@@ -41,6 +49,7 @@
 #include "bitserial/layout.hh"
 #include "cache/compute_cache.hh"
 #include "common/thread_pool.hh"
+#include "core/isa.hh"
 #include "dnn/reference.hh"
 #include "dnn/tensor.hh"
 #include "mapping/plan.hh"
@@ -128,12 +137,14 @@ class Executor
         {
             return fplan;
         }
-        /** The shared Figure-10 row carve-up (program_verify checks
-         * the canonical window program against exactly this map). */
+        /** The shared Figure-10 row carve-up program() addresses. */
         const mapping::ConvRowLayout &rowLayout() const
         {
             return rows;
         }
+        /** One output window's stream, run on every array of a pass
+         * (program_verify checks exactly this stream). */
+        const std::vector<Instruction> &program() const { return prog; }
 
       private:
         friend class Executor;
@@ -152,6 +163,7 @@ class Executor
         uint64_t band = 0;
         mapping::FunctionalConvPlan fplan;
         mapping::ConvRowLayout rows; ///< shared Figure-10 carve-up
+        std::vector<Instruction> prog; ///< per-window program
     };
 
     /**
@@ -178,8 +190,9 @@ class Executor
     /**
      * A prepared residual merge: out = sat8(((a + b) * mult) >>
      * shift) lane-parallel on the scratch array, with the row layout
-     * fixed and the calibrated scalars captured once. run() streams
-     * operand chunks through the array's bit lines.
+     * and the four-instruction merge program fixed once. run() streams
+     * operand chunks through the array's bit lines and runs the
+     * program on each.
      */
     class PreparedEltwise
     {
@@ -193,11 +206,14 @@ class Executor
 
         uint8_t multiplier() const { return mult; }
         unsigned shift() const { return sh; }
-        /** The shared merge carve-up (same map as the ISA backend). */
+        /** The shared merge carve-up program() addresses. */
         const mapping::EltwiseRowLayout &rowLayout() const
         {
             return rows;
         }
+        /** The merge program run per operand chunk (program_verify
+         * checks exactly this stream). */
+        const std::vector<Instruction> &program() const { return prog; }
 
       private:
         friend class Executor;
@@ -208,6 +224,7 @@ class Executor
         unsigned sh = 0;
         uint64_t scratch = 0;
         mapping::EltwiseRowLayout rows;
+        std::vector<Instruction> prog;
     };
 
     /**
@@ -245,7 +262,11 @@ class Executor
     std::vector<uint32_t> fc(const std::vector<uint8_t> &in,
                              const dnn::QWeights &w);
 
-    /** Max pooling through bit-serial compare/select. */
+    /**
+     * Max pooling through bit-serial compare/select: each window runs
+     * a prefix of the full-window fold program, one instruction per
+     * valid element (SAME-padded edge windows run shorter prefixes).
+     */
     dnn::QTensor maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
                          unsigned stride, bool same_pad);
 
@@ -318,7 +339,6 @@ class Executor
      * the helpers never clobber stationary filters.
      */
     void setScratchBase(uint64_t base) { scratchBase = base; }
-    uint64_t scratchArray() const { return scratchBase; }
 
   private:
     cache::ComputeCache &cc;

@@ -8,11 +8,11 @@
  * compute arrays execute the same in-cache compute instruction."
  *
  * An Instruction names an ALU macro-op and its operand slices; the
- * Controller (controller.hh) broadcasts it over the intra-slice
- * address bus to every enrolled array, where the per-bank FSM expands
- * it into the bit-serial micro-op sequence. Because operands are
- * slice-relative and every array holds the same layout, one encoding
- * drives thousands of arrays in lock-step.
+ * intra-slice address bus carries it to every array of a pass, where
+ * the per-bank FSM (controller.hh) expands it into the bit-serial
+ * micro-op sequence. Because operands are slice-relative and every
+ * array holds the same layout, one encoding drives thousands of
+ * arrays in lock-step.
  */
 
 #ifndef NC_CORE_ISA_HH

@@ -520,18 +520,6 @@ Interpreter::step(const Instruction &inst)
     cur = nullptr;
 }
 
-/** Synthesize + verify one layer program and record its report. */
-ProgramStats
-verifyOne(const ProgramContext &ctx,
-          const std::vector<Instruction> &program, const char *kind,
-          std::vector<LayerProgramReport> *reports)
-{
-    const ProgramStats st = verifyProgram(ctx, program);
-    if (reports)
-        reports->push_back({ctx.layer, kind, st});
-    return st;
-}
-
 /** The §IV-D merge scalars every eltwise layer calibrates to (both
  * operands are requantized bytes, so acc_max is 2*255; shift only
  * positions the window — the program's shape and cost are
@@ -555,6 +543,101 @@ msSince(Clock::time_point t0)
                                                      t0)
         .count();
 }
+
+/**
+ * The per-op step both whole-model walks share: prove one op's
+ * program legal under the context its row layout fixes (guard row,
+ * prologue defs), record its report, and cross-check its static
+ * cycle sum against the CostModel's charge for the same op.
+ */
+class OpVerifier
+{
+  public:
+    OpVerifier(const NeuralCacheConfig &cfg,
+               std::vector<LayerProgramReport> *reports_)
+        : geom(cfg.geometry), alu(cfg.cost.alu),
+          checkCost(costCheckable(cfg.cost)),
+          costs(cfg.geometry, cfg.cost), reports(reports_)
+    {
+    }
+
+    /** A conv window; filter pins and the window stream are the
+     * prologue. */
+    void
+    conv(const std::string &layer, const mapping::ConvRowLayout &rows,
+         const std::vector<Instruction> &program)
+    {
+        std::vector<bs::VecSlice> defs = rows.filt;
+        defs.insert(defs.end(), rows.inp.begin(), rows.inp.end());
+        const ProgramStats st =
+            prove(layer, "conv", rows.zrow, std::move(defs), program);
+        if (checkCost)
+            crossCheckProgramCostOrDie(
+                layer, "conv", st.staticCycles,
+                costs.convWindowProgramCycles(rows.lanes, rows.rs));
+    }
+
+    /** An eltwise merge; both operands and the gain are streamed
+     * in first. */
+    void
+    eltwise(const std::string &layer,
+            const mapping::EltwiseRowLayout &rows,
+            const std::vector<Instruction> &program)
+    {
+        const ProgramStats st =
+            prove(layer, "eltwise", rows.zrow,
+                  {rows.va, rows.vb, rows.gain}, program);
+        if (checkCost)
+            crossCheckProgramCostOrDie(layer, "eltwise",
+                                       st.staticCycles,
+                                       costs.eltwiseProgramCycles());
+    }
+
+    /** A max pool's full-window fold (SAME-padded edge windows run
+     * prefixes of it); each element is streamed in before its
+     * instruction. */
+    void
+    maxPool(const std::string &layer, unsigned window)
+    {
+        const mapping::PoolRowLayout rows =
+            mapping::makePoolRowLayout(geom);
+        const ProgramStats st =
+            prove(layer, "maxpool", rows.zrow, {rows.cur},
+                  maxPoolWindowProgram(rows, window));
+        if (checkCost)
+            crossCheckProgramCostOrDie(
+                layer, "maxpool", st.staticCycles,
+                costs.maxPoolWindowProgramCycles(window));
+    }
+
+    uint64_t verified() const { return nVerified; }
+
+  private:
+    ProgramStats
+    prove(const std::string &layer, const char *kind, unsigned guard_row,
+          std::vector<bs::VecSlice> defs,
+          const std::vector<Instruction> &program)
+    {
+        ProgramContext ctx;
+        ctx.layer = layer;
+        ctx.arrayRows = geom.arrayRows;
+        ctx.guardRow = guard_row;
+        ctx.initialDefs = std::move(defs);
+        ctx.alu = alu;
+        const ProgramStats st = verifyProgram(ctx, program);
+        if (reports)
+            reports->push_back({layer, kind, st});
+        ++nVerified;
+        return st;
+    }
+
+    const cache::Geometry &geom;
+    const bs::AluConfig alu;
+    const bool checkCost;
+    const CostModel costs;
+    std::vector<LayerProgramReport> *reports;
+    uint64_t nVerified = 0;
+};
 
 } // namespace
 
@@ -640,9 +723,8 @@ std::vector<Instruction>
 convWindowProgram(const mapping::ConvRowLayout &rows,
                   unsigned acc_bits)
 {
-    // Mirrors LayerEngine::buildConvProgram and the macro-op order
-    // Executor::PreparedConv::run issues: packed 1x1 mappings stage
-    // every MAC's input through the single slot inp[0].
+    // Packed 1x1 mappings stage every MAC's input through the single
+    // slot inp[0]; the kernel streams it in before each MAC.
     std::vector<Instruction> p;
     p.push_back(Instruction::zero(rows.partial));
     for (unsigned k = 0; k < rows.rs; ++k)
@@ -709,105 +791,41 @@ verifyCompiledModelOrDie(const CompiledModel &model,
                          std::vector<LayerProgramReport> *reports)
 {
     const Clock::time_point t0 = Clock::now();
-    VerifySummary sum;
-
-    const NeuralCacheConfig &cfg = model.config();
-    const cache::Geometry &geom = cfg.geometry;
-    const bool check_cost = costCheckable(cfg.cost);
-    const CostModel costs(geom, cfg.cost);
+    OpVerifier check(model.config(), reports);
     const std::vector<mapping::AuditRange> ranges =
         mapping::planRanges(model);
 
     for (const CompiledLayer &layer : model.compiledLayers()) {
-        if (layer.backend != BackendKind::Functional &&
-            layer.backend != BackendKind::Isa)
+        if (layer.backend != BackendKind::Functional)
             continue; // reference layers run CPU loops, no program
 
+        // Prepared kernels are checked through their own streams:
+        // what is proved here is exactly what runs.
         const std::string &name = layer.op.name();
-        ProgramContext ctx;
-        ctx.layer = name;
-        ctx.arrayRows = geom.arrayRows;
-        ctx.alu = cfg.cost.alu;
-
         if (layer.op.isConv()) {
-            // Both kernels carve the same shared ConvRowLayout; the
-            // ISA engine's cached stream is checked verbatim, the
-            // direct-ALU kernel through the canonical program it
-            // issues by hand.
-            const mapping::ConvRowLayout *rows = nullptr;
-            std::vector<Instruction> synth;
-            const std::vector<Instruction> *prog = nullptr;
-            if (layer.isaConv) {
-                rows = &layer.isaConv->program().rows;
-                prog = &layer.isaConv->program().program;
-            } else if (layer.funcConv) {
-                rows = &layer.funcConv->rowLayout();
-                synth = convWindowProgram(*rows);
-                prog = &synth;
-            } else {
+            if (!layer.funcConv)
                 continue; // not prepared (placed elsewhere)
-            }
-            ctx.guardRow = rows->zrow;
-            ctx.initialDefs = rows->filt; // stationary filter pins
-            ctx.initialDefs.insert(ctx.initialDefs.end(),
-                                   rows->inp.begin(),
-                                   rows->inp.end()); // window stream
-            const ProgramStats st =
-                verifyOne(ctx, *prog, "conv", reports);
+            check.conv(name, layer.funcConv->rowLayout(),
+                       layer.funcConv->program());
             if (layer.bandArrays > 0)
                 requireAuditedBand(name, layer.baseArray,
                                    layer.bandArrays, ranges);
-            if (check_cost)
-                crossCheckProgramCostOrDie(name, "conv", st.staticCycles,
-                                costs.convWindowProgramCycles(
-                                    rows->lanes, rows->rs));
-            ++sum.programsVerified;
         } else if (layer.op.kind == dnn::OpKind::EltwiseAdd) {
-            const mapping::EltwiseRowLayout *rows = nullptr;
-            std::vector<Instruction> synth;
-            const std::vector<Instruction> *prog = nullptr;
-            if (layer.isaElt) {
-                rows = &layer.isaElt->rowLayout();
-                prog = &layer.isaElt->mergeProgram();
-            } else if (layer.funcElt) {
-                rows = &layer.funcElt->rowLayout();
-                synth = eltwiseMergeProgram(*rows,
-                                            layer.requantShift);
-                prog = &synth;
-            } else {
+            if (!layer.funcElt)
                 continue;
-            }
-            ctx.guardRow = rows->zrow;
-            ctx.initialDefs = {rows->va, rows->vb, rows->gain};
-            const ProgramStats st =
-                verifyOne(ctx, *prog, "eltwise", reports);
+            check.eltwise(name, layer.funcElt->rowLayout(),
+                          layer.funcElt->program());
             requireAuditedBand(name, layer.scratchArray, 1, ranges);
-            if (check_cost)
-                crossCheckProgramCostOrDie(name, "eltwise", st.staticCycles,
-                                costs.eltwiseProgramCycles());
-            ++sum.programsVerified;
         } else if (layer.op.kind == dnn::OpKind::MaxPool) {
-            // Full-window program (SAME-padded edge windows only
-            // shorten the fold chain). Average pools reduce through
-            // the add/shift path, not a cached fold program.
-            const mapping::PoolRowLayout rows =
-                mapping::makePoolRowLayout(geom);
-            const unsigned window = layer.op.pool.r * layer.op.pool.s;
-            const std::vector<Instruction> prog =
-                maxPoolWindowProgram(rows, window);
-            ctx.guardRow = rows.zrow;
-            ctx.initialDefs = {rows.cur};
-            const ProgramStats st =
-                verifyOne(ctx, prog, "maxpool", reports);
+            // Average pools reduce through the add/shift path, not a
+            // fold program.
+            check.maxPool(name, layer.op.pool.r * layer.op.pool.s);
             requireAuditedBand(name, layer.scratchArray, 1, ranges);
-            if (check_cost)
-                crossCheckProgramCostOrDie(
-                    name, "maxpool", st.staticCycles,
-                    costs.maxPoolWindowProgramCycles(window));
-            ++sum.programsVerified;
         }
     }
 
+    VerifySummary sum;
+    sum.programsVerified = check.verified();
     sum.verifyMs = msSince(t0);
     return sum;
 }
@@ -818,20 +836,12 @@ verifyNetworkProgramsOrDie(const dnn::Network &net,
                            std::vector<LayerProgramReport> *reports)
 {
     const Clock::time_point t0 = Clock::now();
-    VerifySummary sum;
-
+    OpVerifier check(cfg, reports);
     const cache::Geometry &geom = cfg.geometry;
-    const bool check_cost = costCheckable(cfg.cost);
-    const CostModel costs(geom, cfg.cost);
 
     for (const dnn::Stage &stage : net.stages) {
         for (const dnn::Branch &branch : stage.branches) {
             for (const dnn::Op &op : branch.ops) {
-                ProgramContext ctx;
-                ctx.layer = op.name();
-                ctx.arrayRows = geom.arrayRows;
-                ctx.alu = cfg.cost.alu;
-
                 if (op.isConv()) {
                     const mapping::FunctionalConvPlan fplan =
                         mapping::planFunctionalConv(op.conv, geom);
@@ -839,52 +849,22 @@ verifyNetworkProgramsOrDie(const dnn::Network &net,
                         continue; // priced analytically, no program
                     const mapping::ConvRowLayout rows =
                         mapping::makeConvRowLayout(geom, fplan);
-                    ctx.guardRow = rows.zrow;
-                    ctx.initialDefs = rows.filt;
-                    ctx.initialDefs.insert(ctx.initialDefs.end(),
-                                           rows.inp.begin(),
-                                           rows.inp.end());
-                    const ProgramStats st =
-                        verifyOne(ctx, convWindowProgram(rows),
-                                  "conv", reports);
-                    if (check_cost)
-                        crossCheckProgramCostOrDie(
-                            ctx.layer, "conv", st.staticCycles,
-                            costs.convWindowProgramCycles(rows.lanes,
-                                                          rows.rs));
-                    ++sum.programsVerified;
+                    check.conv(op.name(), rows, convWindowProgram(rows));
                 } else if (op.kind == dnn::OpKind::EltwiseAdd) {
                     const mapping::EltwiseRowLayout rows =
                         mapping::makeEltwiseRowLayout(geom);
-                    ctx.guardRow = rows.zrow;
-                    ctx.initialDefs = {rows.va, rows.vb, rows.gain};
-                    const ProgramStats st = verifyOne(
-                        ctx, eltwiseMergeProgram(rows, kEltwiseShift),
-                        "eltwise", reports);
-                    if (check_cost)
-                        crossCheckProgramCostOrDie(ctx.layer, "eltwise",
-                                        st.staticCycles,
-                                        costs.eltwiseProgramCycles());
-                    ++sum.programsVerified;
+                    check.eltwise(op.name(), rows,
+                                  eltwiseMergeProgram(rows,
+                                                      kEltwiseShift));
                 } else if (op.kind == dnn::OpKind::MaxPool) {
-                    const mapping::PoolRowLayout rows =
-                        mapping::makePoolRowLayout(geom);
-                    const unsigned window = op.pool.r * op.pool.s;
-                    ctx.guardRow = rows.zrow;
-                    ctx.initialDefs = {rows.cur};
-                    const ProgramStats st = verifyOne(
-                        ctx, maxPoolWindowProgram(rows, window),
-                        "maxpool", reports);
-                    if (check_cost)
-                        crossCheckProgramCostOrDie(
-                            ctx.layer, "maxpool", st.staticCycles,
-                            costs.maxPoolWindowProgramCycles(window));
-                    ++sum.programsVerified;
+                    check.maxPool(op.name(), op.pool.r * op.pool.s);
                 }
             }
         }
     }
 
+    VerifySummary sum;
+    sum.programsVerified = check.verified();
     sum.verifyMs = msSince(t0);
     return sum;
 }

@@ -4,12 +4,14 @@
  * core::Instruction streams.
  *
  * Engine::compile() runs it unconditionally over every program the
- * compile pass produced — the broadcast-ISA layers' cached streams
- * verbatim, and for the direct-ALU kernels the canonical program
- * synthesized from the same shared mapping row layout the kernel
- * drives — so a malformed stream dies at compile time with the layer
- * name and instruction index, never as a corrupted activation ten
- * layers later. Five check classes:
+ * compile pass produced — each prepared conv and eltwise kernel's own
+ * stream verbatim, and each max pool's fold program, which the
+ * kernel runs prefixes of — so a malformed stream dies at compile
+ * time with the layer name and instruction index, never as a
+ * corrupted activation ten layers later. The kernels run those very
+ * streams through the per-bank FSM (controller.hh), which checks
+ * every instruction's charged cycles against instructionCycles() at
+ * run time. Five check classes:
  *
  *  1. Row/slice bounds: every operand slice inside the array
  *     geometry, and the layer's array band inside a range the plan
@@ -100,10 +102,9 @@ ProgramStats verifyProgram(const ProgramContext &ctx,
 
 /** @name Canonical per-layer programs
  * One output window / element of each layer kind as an instruction
- * stream, built from the shared mapping row layouts both backends
- * carve. The broadcast-ISA engine caches exactly these streams; the
- * direct-ALU kernels issue the same macro-op sequence by hand, which
- * is what lets one verified program stand for both.
+ * stream over the shared mapping row layouts. These builders are the
+ * only source of layer programs: the functional kernels build their
+ * streams from them once and run them on every array of a pass.
  */
 /// @{
 /** zero partial, rs MACs, one cross-lane reduction (Figure 10). */
@@ -156,14 +157,14 @@ struct VerifySummary
 };
 
 /**
- * Verify every prepared program of @p model: broadcast-ISA streams
- * verbatim, direct-ALU layers via the canonical program synthesized
- * from their shared row layout, plus the band containment check
- * against the audited placement and the bit-exact CostModel cycle
- * cross-check (8-bit / 24-bit-accumulator configs). Reference-backend
- * layers and average pools (no in-array program) are skipped. Fatal
- * on any violation; returns coverage counters, and per-layer stats
- * through @p reports when non-null.
+ * Verify every prepared program of @p model: each conv and eltwise
+ * kernel's own stream verbatim and each max pool's fold program,
+ * plus the band containment check against the audited placement and
+ * the bit-exact CostModel cycle cross-check (8-bit /
+ * 24-bit-accumulator configs). Reference-backend layers and average
+ * pools (no in-array program) are skipped. Fatal on any violation;
+ * returns coverage counters, and per-layer stats through @p reports
+ * when non-null.
  */
 VerifySummary
 verifyCompiledModelOrDie(const CompiledModel &model,

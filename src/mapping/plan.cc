@@ -163,7 +163,6 @@ planFunctionalConv(const dnn::ConvOp &op, const cache::Geometry &geom,
         p.fits = true;
         return p;
     }
-    p.legacy = false;
 
     if (rs == 1) {
         // §IV-A filter packing: consecutive channels share a bit
@@ -248,18 +247,6 @@ makeConvRowLayout(const cache::Geometry &geom,
               "%u", rows.used(),
               convLayoutRowsEx(l.lanes, l.rs, input_slots));
     return l;
-}
-
-ConvRowLayout
-makeConvRowLayout(const cache::Geometry &geom, unsigned c, unsigned r,
-                  unsigned s)
-{
-    FunctionalConvPlan p;
-    p.fits = true;
-    p.effRS = r * s;
-    p.chunkChannels = c;
-    p.lanes = static_cast<unsigned>(roundUpPow2(c));
-    return makeConvRowLayout(geom, p);
 }
 
 bool

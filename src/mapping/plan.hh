@@ -92,9 +92,9 @@ PoolPlan planPool(const dnn::PoolOp &op, const cache::Geometry &geom);
  * over functional executor arrays — the §IV-A transforms applied to
  * the simulator's per-filter-batch mapping:
  *
- *  - legacy: one array per filter batch, one channel per bit line,
- *    the whole RxS window staged (shapes the original executor ran;
- *    bit- and cycle-identical to it).
+ *  - untransformed: one array per filter batch, one channel per bit
+ *    line, the whole RxS window staged (shapes the original executor
+ *    ran; bit- and cycle-identical to it).
  *  - packing (1x1 filters): packFactor consecutive channels share a
  *    bit line, inputs stream one byte at a time through a single
  *    input slot.
@@ -109,7 +109,6 @@ PoolPlan planPool(const dnn::PoolOp &op, const cache::Geometry &geom);
 struct FunctionalConvPlan
 {
     bool fits = false;
-    bool legacy = true;        ///< untransformed one-array mapping
     unsigned packFactor = 1;   ///< channels sharing one bit line
     unsigned splitFactor = 1;  ///< bit lines one channel spreads over
     unsigned effRS = 0;        ///< MAC slots (filter bytes) per lane
@@ -134,10 +133,10 @@ FunctionalConvPlan planFunctionalConv(const dnn::ConvOp &op,
  * The Figure-10 per-array row carve-up of one conv layer: filter
  * band, input band, 2-byte product scratchpad, partial sum with
  * cross-lane reduction headroom, reduction scratch, and the reserved
- * constant-zero word line. Both functional conv kernels (the
- * direct-ALU Executor and the broadcast LayerEngine) build their
- * slice maps from this one definition, so their layouts cannot
- * drift apart.
+ * constant-zero word line. The conv kernel and the canonical window
+ * program (core/program_verify.hh) both address this one
+ * definition, so the stream the verifier proves is the stream that
+ * runs.
  */
 struct ConvRowLayout
 {
@@ -151,22 +150,14 @@ struct ConvRowLayout
     unsigned zrow = 0;    ///< reserved all-zero word line
 };
 
-/** Word lines the legacy carve-up of (c, r, s) needs, zero row
- * included. */
+/** Word lines the untransformed carve-up of (c, r, s) needs, zero
+ * row included. */
 unsigned convLayoutRows(unsigned c, unsigned r, unsigned s);
 
 /** Word lines a generalized carve-up needs: @p lanes bit lines, @p
  * mac_slots filter slots, @p input_slots staged input slots. */
 unsigned convLayoutRowsEx(unsigned lanes, unsigned mac_slots,
                           unsigned input_slots);
-
-/**
- * Build the legacy (untransformed) carve-up on @p geom's array shape.
- * Fatal if it does not fit — call fitsFunctionalExecutor() first to
- * fail gracefully.
- */
-ConvRowLayout makeConvRowLayout(const cache::Geometry &geom,
-                                unsigned c, unsigned r, unsigned s);
 
 /** Build the carve-up a FunctionalConvPlan selected. */
 ConvRowLayout makeConvRowLayout(const cache::Geometry &geom,
@@ -185,12 +176,10 @@ bool fitsFunctionalExecutor(const dnn::ConvOp &op,
  * The per-array row carve-up of the §IV-D residual merge,
  * sat8(((a + b) * mult) >> shift): two operand bytes, the widened
  * 9-bit sum, the broadcast multiplier, and the 17-bit product that
- * is shifted and saturated in place. Both eltwise kernels (the
- * direct-ALU Executor and the broadcast LayerEngine) build their
- * slice maps from this one definition — the same single-source rule
- * ConvRowLayout enforces for convolutions — which is also what lets
- * the static program verifier (core/program_verify.hh) check one
- * canonical instruction stream for both.
+ * is shifted and saturated in place. The eltwise kernel and the
+ * canonical merge program (core/program_verify.hh) both address this
+ * one definition — the same single-source rule ConvRowLayout
+ * enforces for convolutions.
  */
 struct EltwiseRowLayout
 {

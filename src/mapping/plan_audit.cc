@@ -191,10 +191,7 @@ collectRanges(const core::CompiledModel &model, AuditReport *structural)
                                       "')";
             for (size_t li : cstage.branches[bi].layerIdx) {
                 const core::CompiledLayer &layer = layers[li];
-                bool on_arrays =
-                    layer.backend == core::BackendKind::Functional ||
-                    layer.backend == core::BackendKind::Isa;
-                if (!on_arrays)
+                if (layer.backend != core::BackendKind::Functional)
                     continue;
                 // Branch slot wiring: concurrently executing
                 // branches must scribble on distinct scratch arrays.

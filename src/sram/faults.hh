@@ -103,7 +103,7 @@ struct Config
  * bist=0|1, canary=0|1, retries=N. Malformed keys, values, or
  * rates outside [0, 1] are hard errors (nc_fatal), with the
  * nearest known key named on a typo — consistent with the strict
- * NC_THREADS/NC_DEBUG parsing.
+ * NC_THREADS/NC_SIMD parsing.
  */
 Config configFromEnv(Config base = {});
 

@@ -37,8 +37,12 @@ TEST(EnvCheckDeath, TyposDieNamingTheNearestKnownVariable)
     } cases[] = {
         {"NC_THREAD", "did you mean NC_THREADS"},
         {"NC_FAULT", "did you mean NC_FAULTS"},
-        {"NC_DEBUGGING", "did you mean NC_DEBUG"},
+        {"NC_SIMDS", "did you mean NC_SIMD"},
         {"NC_", "unknown environment variable NC_"},
+        // The retired trace switch is no longer a knob: setting it
+        // fails loudly instead of silently tracing nothing.
+        {"NC_DEBUG", "unknown environment variable NC_DEBUG .*known: "
+                     "NC_FAULTS, NC_SIMD, NC_THREADS\\)"},
     };
     for (const auto &[name, expect] : cases) {
         setenv(name, "1", 1);

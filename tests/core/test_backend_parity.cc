@@ -2,10 +2,10 @@
  * @file
  * Backend parity harness: randomized conv/fc/pool networks must
  * produce bit-exact outputs whether they execute through the
- * reference CPU loops, the direct-ALU bit-serial executor, or the
- * broadcast-ISA path — and the analytic cost model must agree with
- * the functional executor's measured cycles on the shapes the
- * executor supports.
+ * reference CPU loops or the bit-serial executor's instruction
+ * streams — and the analytic cost model must agree with the
+ * functional executor's measured cycles on the shapes the executor
+ * supports.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "core/engine.hh"
 #include "core/executor.hh"
-#include "core/layer_engine.hh"
 #include "dnn/random.hh"
 
 namespace
@@ -26,15 +25,13 @@ using core::BackendKind;
 
 /** Compile @p net once per backend and run @p in through each. */
 void
-expectThreeWayParity(const dnn::Network &net,
-                     const core::ModelWeights &mw,
-                     const dnn::QTensor &in, const std::string &tag)
+expectParity(const dnn::Network &net, const core::ModelWeights &mw,
+             const dnn::QTensor &in, const std::string &tag)
 {
-    std::vector<uint8_t> outputs[3];
+    std::vector<uint8_t> outputs[2];
     const BackendKind kinds[] = {BackendKind::Reference,
-                                 BackendKind::Functional,
-                                 BackendKind::Isa};
-    for (int i = 0; i < 3; ++i) {
+                                 BackendKind::Functional};
+    for (int i = 0; i < 2; ++i) {
         core::EngineOptions opts;
         opts.backend = kinds[i];
         core::Engine engine(opts);
@@ -45,7 +42,6 @@ expectThreeWayParity(const dnn::Network &net,
     }
     EXPECT_EQ(outputs[0], outputs[1])
         << tag << ": reference vs functional";
-    EXPECT_EQ(outputs[0], outputs[2]) << tag << ": reference vs isa";
 }
 
 TEST(BackendParity, RandomizedConvPoolNetworks)
@@ -86,7 +82,7 @@ TEST(BackendParity, RandomizedConvPoolNetworks)
         mw.emplace("head", dnn::randomQWeights(wrng, 2, m, 1, 1));
         auto in = dnn::randomQTensor(wrng, c, hw, hw);
 
-        expectThreeWayParity(net, mw, in, net.name);
+        expectParity(net, mw, in, net.name);
     }
 }
 
@@ -110,7 +106,7 @@ TEST(BackendParity, AvgPoolAndFcNetworks)
     mw.emplace("fc", dnn::randomQWeights(wrng, 3, 64, 1, 1));
     auto in = dnn::randomQTensor(wrng, 3, 8, 8);
 
-    expectThreeWayParity(net, mw, in, net.name);
+    expectParity(net, mw, in, net.name);
 }
 
 TEST(BackendParity, OddAvgPoolWindowUsesRestoringDivide)
@@ -129,16 +125,15 @@ TEST(BackendParity, OddAvgPoolWindowUsesRestoringDivide)
     mw.emplace("conv", dnn::randomQWeights(wrng, 3, 2, 3, 3));
     auto in = dnn::randomQTensor(wrng, 2, 9, 9);
 
-    expectThreeWayParity(net, mw, in, net.name);
+    expectParity(net, mw, in, net.name);
 }
 
 TEST(BackendParity, IsaSamePadMaxPoolRunsOnBroadcastPath)
 {
-    // The broadcast MaxInto program used to cover VALID windows only
-    // (SAME fell back to the executor's bit-serial pooling). Edge
-    // windows now simply run shorter programs, so the ISA path owns
-    // SAME padding end to end — pinned here against the reference
-    // and the direct executor.
+    // The max-pool fold program covers VALID and SAME windows alike:
+    // SAME-padded edge windows just run shorter prefixes of it —
+    // pinned here against the reference, through the engine and
+    // through the executor directly.
     Rng wrng(0x5a3e);
     dnn::Network net;
     net.name = "parity-same-maxpool";
@@ -156,13 +151,11 @@ TEST(BackendParity, IsaSamePadMaxPoolRunsOnBroadcastPath)
     mw.emplace("head", dnn::randomQWeights(wrng, 2, 4, 1, 1));
     auto in = dnn::randomQTensor(wrng, 3, 7, 7);
 
-    expectThreeWayParity(net, mw, in, net.name);
+    expectParity(net, mw, in, net.name);
 
-    // Directly at the LayerEngine level too: the broadcast pool must
-    // match the reference for every padding mode.
     cache::ComputeCache cc;
-    core::LayerEngine le(cc, 1u);
-    auto pooled = le.maxPoolLayer(in, 3, 3, 2, /*same_pad=*/true);
+    core::Executor ex(cc, 1u);
+    auto pooled = ex.maxPool(in, 3, 3, 2, /*same_pad=*/true);
     auto want = dnn::maxPoolQuant(in, 3, 3, 2, true);
     EXPECT_EQ(pooled.data(), want.data());
 }

@@ -3,8 +3,8 @@
  * Image-parallel batch parity harness (§IV-E): runBatch fans the
  * images of one batch over the shared pool, each image executing in
  * its own replica of the network's array bands — and the result must
- * be bit-identical to the serial per-image loop for every backend
- * {reference, functional, isa}, every thread count {1, 3}, and every
+ * be bit-identical to the serial per-image loop for every tensor
+ * backend {reference, functional}, every thread count {1, 3}, and every
  * batch size {1, 2, 7, over-capacity}, across the randomized
  * mixed/residual nets the branch-parity suite generates.
  *
@@ -79,8 +79,7 @@ TEST(BatchParity, ParallelBatchMatchesSerialLoopAcrossBackends)
             auto golden = serialLoop(golden_model, inputs);
 
             for (BackendKind kind :
-                 {BackendKind::Reference, BackendKind::Functional,
-                  BackendKind::Isa}) {
+                 {BackendKind::Reference, BackendKind::Functional}) {
                 for (unsigned t : {1u, 3u}) {
                     core::EngineOptions opts;
                     opts.backend = kind;

@@ -3,9 +3,9 @@
  * Branch/eltwise parity harness: randomized multi-branch (Inception-
  * style concat) and residual (ResNet-style eltwise merge) networks
  * must produce bit-exact outputs whether they execute through the
- * reference CPU loops, the direct-ALU bit-serial executor, or the
- * broadcast-ISA path — and for any worker-thread count, since
- * independent branches fan out over the shared pool.
+ * reference CPU loops or the bit-serial executor — and for any
+ * worker-thread count, since independent branches fan out over the
+ * shared pool.
  *
  * Also home of the eltwise requantization property suite:
  * sat8(((a + b) * mult) >> shift) across saturation edges, and the
@@ -19,7 +19,6 @@
 #include "common/rng.hh"
 #include "core/engine.hh"
 #include "core/executor.hh"
-#include "core/layer_engine.hh"
 #include "dnn/random.hh"
 #include "dnn/reference.hh"
 #include "mapping/plan.hh"
@@ -43,8 +42,7 @@ expectBranchParity(const dnn::Network &net, const dnn::QTensor &in,
                    const std::string &tag)
 {
     const BackendKind kinds[] = {BackendKind::Reference,
-                                 BackendKind::Functional,
-                                 BackendKind::Isa};
+                                 BackendKind::Functional};
     const unsigned threads[] = {1, 3};
 
     std::vector<uint8_t> golden;
@@ -181,7 +179,6 @@ TEST(EltwiseRequantProperty, KernelMatchesOracleAcrossScalars)
     Rng rng(0xe17);
     cache::ComputeCache cc;
     core::Executor ex(cc, 1u);
-    core::LayerEngine le(cc, 1u);
 
     struct Scalars
     {
@@ -212,9 +209,13 @@ TEST(EltwiseRequantProperty, KernelMatchesOracleAcrossScalars)
         auto want = dnn::eltwiseAddQuant(a, b, mult, shift);
         EXPECT_EQ(ex.eltwiseAdd(a, b, mult, shift), want)
             << "executor mult=" << int(mult) << " shift=" << shift;
-        auto isa = le.prepareEltwise(mult, shift, 0);
-        EXPECT_EQ(isa.run(a, b), want)
-            << "isa mult=" << int(mult) << " shift=" << shift;
+        // The prepared kernel answers every run from its one stream.
+        auto prepared = ex.prepareEltwise(mult, shift, 1);
+        EXPECT_EQ(prepared.run(a, b), want)
+            << "prepared mult=" << int(mult) << " shift=" << shift;
+        EXPECT_EQ(prepared.run(a, b), want)
+            << "prepared rerun mult=" << int(mult)
+            << " shift=" << shift;
     }
 }
 

@@ -1,8 +1,9 @@
-/** @file Tests for the in-cache ISA and broadcast controller. */
+/** @file Tests for the in-cache ISA and the per-bank program runner. */
 
 #include <gtest/gtest.h>
 
 #include "bitserial/cost.hh"
+#include "cache/compute_cache.hh"
 #include "common/rng.hh"
 #include "core/controller.hh"
 
@@ -10,15 +11,14 @@ namespace
 {
 
 using namespace nc;
-using core::Controller;
 using core::Instruction;
 using core::Opcode;
+using core::runProgram;
 namespace bs = bitserial;
 
 struct Rig
 {
     cache::ComputeCache cc;
-    Controller ctrl{cc};
     bs::RowAllocator rows{256};
 };
 
@@ -32,36 +32,30 @@ TEST(Isa, OpcodeNamesCoverEveryOpcode)
 
 TEST(Controller, BroadcastKeepsGroupInLockstep)
 {
+    // Every array of a pass receives the identical stream and runs it
+    // on its own data, so every array is charged the identical
+    // cycles.
     Rig rig;
-    for (unsigned i = 0; i < 8; ++i)
-        rig.ctrl.enroll(rig.cc.coordOf(i * 17));
-    EXPECT_EQ(rig.ctrl.groupSize(), 8u);
-
     bs::VecSlice a = rig.rows.alloc(8), b = rig.rows.alloc(8);
     bs::VecSlice out = rig.rows.alloc(9);
+    const std::vector<Instruction> prog{Instruction::add(a, b, out)};
 
-    // Different data per array, identical instruction stream.
     Rng rng(5);
     for (unsigned i = 0; i < 8; ++i) {
         auto &arr = rig.cc.array(rig.cc.coordOf(i * 17));
         bs::storeVector(arr, a, rng.bitVector(256, 8));
         bs::storeVector(arr, b, rng.bitVector(256, 8));
+        EXPECT_EQ(runProgram(arr, prog), bs::implAddCycles(8, true));
     }
-
-    uint64_t cycles = rig.ctrl.broadcast(Instruction::add(a, b, out));
-    EXPECT_EQ(cycles, bs::implAddCycles(8, true));
-    EXPECT_EQ(rig.cc.lockstepCycles(), cycles);
-    // Every array consumed exactly the broadcast cycles.
-    EXPECT_EQ(rig.cc.totalComputeCycles(), cycles * 8);
+    EXPECT_EQ(rig.cc.lockstepCycles(), bs::implAddCycles(8, true));
+    EXPECT_EQ(rig.cc.totalComputeCycles(),
+              bs::implAddCycles(8, true) * 8);
 }
 
 TEST(Controller, ProgramComputesAffineExpression)
 {
     // (a + b) * c on two arrays with different data.
     Rig rig;
-    rig.ctrl.enroll(rig.cc.coordOf(0));
-    rig.ctrl.enroll(rig.cc.coordOf(320));
-
     bs::VecSlice a = rig.rows.alloc(8), b = rig.rows.alloc(8);
     bs::VecSlice c = rig.rows.alloc(8);
     bs::VecSlice sum = rig.rows.alloc(8);
@@ -80,8 +74,9 @@ TEST(Controller, ProgramComputesAffineExpression)
         Instruction::add(a, b, sum),
         Instruction::multiply(sum, c, prod),
     };
-    uint64_t total = rig.ctrl.run(prog);
-    EXPECT_EQ(total, rig.ctrl.cyclesIssued());
+    uint64_t total = runProgram(a0, prog);
+    EXPECT_EQ(total, a0.computeCycles());
+    EXPECT_EQ(runProgram(a1, prog), total);
 
     EXPECT_EQ(bs::loadLane(a0, prod, 0), 30u);  // (10+5)*2
     EXPECT_EQ(bs::loadLane(a0, prod, 1), 70u);  // (3+4)*10
@@ -92,18 +87,17 @@ TEST(Controller, ProgramComputesAffineExpression)
 TEST(Controller, ReduceAndSearchDecodeCorrectly)
 {
     Rig rig;
-    rig.ctrl.enroll(rig.cc.coordOf(0));
     auto &arr = rig.cc.array(rig.cc.coordOf(0));
 
     bs::VecSlice acc = rig.rows.alloc(10);
     bs::VecSlice scratch = rig.rows.alloc(9);
     bs::storeVector(arr, acc, {1, 2, 3, 4});
-    rig.ctrl.broadcast(Instruction::reduceSum(acc, 8, 4, scratch));
+    runProgram(arr, {Instruction::reduceSum(acc, 8, 4, scratch)});
     EXPECT_EQ(bs::loadLane(arr, acc, 0), 10u);
 
     bs::VecSlice keys = rig.rows.alloc(8);
     bs::storeVector(arr, keys, {9, 7, 9});
-    rig.ctrl.broadcast(Instruction::search(keys, 9));
+    runProgram(arr, {Instruction::search(keys, 9)});
     EXPECT_TRUE(arr.tag().get(0));
     EXPECT_FALSE(arr.tag().get(1));
     EXPECT_TRUE(arr.tag().get(2));
@@ -112,7 +106,6 @@ TEST(Controller, ReduceAndSearchDecodeCorrectly)
 TEST(Controller, PredicatedCopyThroughIsa)
 {
     Rig rig;
-    rig.ctrl.enroll(rig.cc.coordOf(0));
     auto &arr = rig.cc.array(rig.cc.coordOf(0));
 
     bs::VecSlice mask = rig.rows.alloc(1);
@@ -124,8 +117,7 @@ TEST(Controller, PredicatedCopyThroughIsa)
     Instruction load;
     load.op = Opcode::LoadTag;
     load.a = mask;
-    rig.ctrl.broadcast(load);
-    rig.ctrl.broadcast(Instruction::copy(src, dst, /*pred=*/true));
+    runProgram(arr, {load, Instruction::copy(src, dst, /*pred=*/true)});
 
     auto r = bs::loadVector(arr, dst);
     EXPECT_EQ(r[0], 7u);
@@ -135,23 +127,20 @@ TEST(Controller, PredicatedCopyThroughIsa)
 
 TEST(Controller, CyclesAccumulateAcrossProgram)
 {
+    // A program run in segments charges exactly what one whole run
+    // does: the packed-conv and max-pool kernels rely on it.
     Rig rig;
-    rig.ctrl.enroll(rig.cc.coordOf(0));
     bs::VecSlice a = rig.rows.alloc(8);
     bs::VecSlice out = rig.rows.alloc(8);
+    const std::vector<Instruction> prog{Instruction::zero(out),
+                                        Instruction::copy(a, out)};
 
-    uint64_t c1 =
-        rig.ctrl.broadcast(Instruction::zero(out));
-    uint64_t c2 = rig.ctrl.broadcast(Instruction::copy(a, out));
-    EXPECT_EQ(rig.ctrl.cyclesIssued(), c1 + c2);
-}
-
-TEST(ControllerDeath, EmptyGroup)
-{
-    cache::ComputeCache cc;
-    Controller ctrl(cc);
-    bs::VecSlice out{0, 8};
-    EXPECT_DEATH(ctrl.broadcast(Instruction::zero(out)), "empty");
+    auto &whole = rig.cc.array(rig.cc.coordOf(0));
+    auto &split = rig.cc.array(rig.cc.coordOf(1));
+    uint64_t c1 = runProgram(split, prog, 0, 1);
+    uint64_t c2 = runProgram(split, prog, 1, 2);
+    EXPECT_EQ(runProgram(whole, prog), c1 + c2);
+    EXPECT_EQ(split.computeCycles(), c1 + c2);
 }
 
 } // namespace

@@ -185,14 +185,20 @@ TEST(Engine, MixedPerLayerBackendsAgreeWithUniform)
     core::Engine uniform;
     auto base = uniform.compile(net, mw).run(in);
 
+    // Reference by default, with the first conv on the arrays: the
+    // pool and head run CPU loops over the functional conv's bytes.
     core::EngineOptions opts;
-    opts.backend = BackendKind::Functional;
-    opts.layerBackends["conv1"] = BackendKind::Isa;
-    opts.layerBackends["head"] = BackendKind::Reference;
+    opts.backend = BackendKind::Reference;
+    opts.layerBackends["conv1"] = BackendKind::Functional;
     core::Engine mixed(opts);
-    auto got = mixed.compile(net, mw).run(in);
+    auto model = mixed.compile(net, mw);
+    auto got = model.run(in);
 
     EXPECT_EQ(got.output.data(), base.output.data());
+    EXPECT_EQ(model.findLayer("conv1")->backend, BackendKind::Functional);
+    EXPECT_TRUE(model.findLayer("conv1")->funcConv.has_value());
+    EXPECT_EQ(model.findLayer("head")->backend, BackendKind::Reference);
+    EXPECT_FALSE(model.findLayer("head")->funcConv.has_value());
 }
 
 TEST(Engine, FullyConnectedFlattensActivations)
@@ -318,7 +324,7 @@ TEST(Engine, ParseBackendKindRoundTrips)
 {
     for (auto kind :
          {BackendKind::Reference, BackendKind::Functional,
-          BackendKind::Isa, BackendKind::Analytic}) {
+          BackendKind::Analytic}) {
         BackendKind parsed;
         ASSERT_TRUE(
             core::parseBackendKind(core::backendKindName(kind),
@@ -328,6 +334,9 @@ TEST(Engine, ParseBackendKindRoundTrips)
     BackendKind parsed;
     EXPECT_FALSE(core::parseBackendKind("gpu", parsed));
     EXPECT_FALSE(core::parseBackendKind("", parsed));
+    // The broadcast-ISA backend is gone: its streams are the
+    // functional kernels' own.
+    EXPECT_FALSE(core::parseBackendKind("isa", parsed));
 }
 
 using EngineDeath = ::testing::Test;
@@ -359,7 +368,7 @@ TEST(EngineDeath, CompileRejectsTypoedLayerOverride)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     core::EngineOptions opts;
-    opts.layerBackends["conv_1"] = BackendKind::Isa; // real: "conv1"
+    opts.layerBackends["conv_1"] = BackendKind::Reference; // real: "conv1"
     core::Engine engine(opts);
     EXPECT_DEATH((void)engine.compile(tinyNet(), tinyWeights(7)),
                  "unknown layer");

@@ -5,6 +5,7 @@
 #include "bitserial/cost.hh"
 #include "common/rng.hh"
 #include "core/executor.hh"
+#include "core/program_verify.hh"
 
 namespace
 {
@@ -163,6 +164,28 @@ TEST(Executor, ReluMatchesSignedClamp)
     EXPECT_EQ(out[3], 0); // -128 clamps
     EXPECT_EQ(out[4], 0);
     EXPECT_EQ(out[5], 0); // -1 clamps
+}
+
+TEST(Executor, EveryFilterArrayRunsTheSameStream)
+{
+    // One array per filter batch, each running the layer's window
+    // program once per output window: every array is charged the
+    // identical cycles, the §IV-F lock-step.
+    Rng rng(2027);
+    cache::ComputeCache cc;
+    Executor ex(cc);
+    QTensor in = randomInput(rng, 4, 4, 4);
+    QWeights w = randomWeights(rng, 6, 4, 3, 3);
+    auto layer = ex.prepareConv(w, 1, true);
+    unsigned oh, ow;
+    layer.run(in, w, oh, ow);
+
+    uint64_t per_window = 0;
+    for (const core::Instruction &inst : layer.program())
+        per_window += core::verify::instructionCycles(inst, {});
+    EXPECT_EQ(cc.materializedCount(), 6u);
+    EXPECT_EQ(cc.lockstepCycles(), uint64_t(oh) * ow * per_window);
+    EXPECT_EQ(cc.totalComputeCycles(), cc.lockstepCycles() * 6);
 }
 
 TEST(Executor, MultipleMsSpreadAcrossArrays)

@@ -11,7 +11,6 @@
 #include <cstdlib>
 
 #include "core/executor.hh"
-#include "core/layer_engine.hh"
 #include "common/rng.hh"
 #include "dnn/reference.hh"
 
@@ -20,7 +19,6 @@ namespace
 
 using namespace nc;
 using core::Executor;
-using core::LayerEngine;
 using dnn::QTensor;
 using dnn::QWeights;
 
@@ -95,25 +93,6 @@ TEST(ExecutorThreads, MaxPoolIdenticalAcrossThreadCounts)
         for (unsigned y = 0; y < a.height(); ++y)
             for (unsigned x = 0; x < a.width(); ++x)
                 EXPECT_EQ(a.at(c, y, x), want.at(c, y, x));
-}
-
-TEST(ExecutorThreads, LayerEngineIdenticalAcrossThreadCounts)
-{
-    Rng rng(406);
-    QTensor in = randomInput(rng, 5, 5, 5);
-    QWeights w = randomWeights(rng, 4, 5, 3, 3);
-
-    cache::ComputeCache cc1, cc4;
-    LayerEngine e1(cc1, 1);
-    LayerEngine e4(cc4, 4);
-
-    unsigned oh1, ow1, oh4, ow4;
-    auto a = e1.convLayer(in, w, 1, true, oh1, ow1);
-    auto b = e4.convLayer(in, w, 1, true, oh4, ow4);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(e1.instructionCycles(), e4.instructionCycles());
-    EXPECT_EQ(cc1.lockstepCycles(), cc4.lockstepCycles());
-    EXPECT_EQ(cc1.totalComputeCycles(), cc4.totalComputeCycles());
 }
 
 TEST(ExecutorThreads, FcMatchesReference)

@@ -183,34 +183,6 @@ TEST(FaultRecoveryDeath, AnalyticBackendRefusesCampaigns)
                  "analytic backend has no arrays");
 }
 
-TEST(FaultRecovery, IsaBackendIsBistOnlyAndRefusesTransients)
-{
-    auto net = smallNet();
-    auto img = image(0x55);
-
-    auto isa = baseOpts();
-    isa.backend = BackendKind::Isa;
-    auto want = core::Engine(isa).compile(net).run(img);
-
-    // Static defects: BIST retires them at compile and the ISA path
-    // plans around the casualty — but no runtime canary is armed.
-    auto opts = isa;
-    opts.faults.killArrays = {90};
-    auto model = core::Engine(opts).compile(net);
-    EXPECT_FALSE(model.canaryArmed());
-    auto res = model.run(img);
-    EXPECT_EQ(res.output.data(), want.output.data());
-    EXPECT_EQ(res.report.arraysRetired, 1u);
-
-    // Mid-run transients would corrupt ISA outputs with no detector:
-    // the campaign is refused outright.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto bad = isa;
-    bad.faults.transientRate = 0.5;
-    EXPECT_DEATH((void)core::Engine(bad).compile(net),
-                 "broadcast-ISA");
-}
-
 TEST(FaultRecovery, EngineOverlaysNcFaultsEnvironment)
 {
     setenv("NC_FAULTS", "kill_list=0:1:2", 1);

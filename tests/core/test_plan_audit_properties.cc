@@ -49,8 +49,7 @@ TEST(PlanAuditProperties, EveryRandomizedNetAuditsCleanInEveryBackend)
 
     for (const dnn::Network &net : nets) {
         for (BackendKind kind :
-             {BackendKind::Functional, BackendKind::Isa,
-              BackendKind::Reference}) {
+             {BackendKind::Functional, BackendKind::Reference}) {
             core::EngineOptions opts;
             opts.backend = kind;
             opts.threads = 3;

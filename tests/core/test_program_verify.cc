@@ -5,11 +5,13 @@
  * and instruction index in the message), the canonical layer
  * programs verify clean with cycle sums bit-exact against the
  * CostModel, and a program's static cycle account matches what the
- * broadcast controller actually issues on a real array.
+ * per-bank runner actually charges on a real array — which the
+ * runner itself re-checks per instruction, dying by name on drift.
  */
 
 #include <gtest/gtest.h>
 
+#include "cache/compute_cache.hh"
 #include "core/controller.hh"
 #include "core/cost_model.hh"
 #include "core/program_verify.hh"
@@ -297,13 +299,43 @@ TEST(ProgramVerify, CanonicalMaxPoolProgramMatchesCostModel)
     }
 }
 
-// ---- Static account vs what the controller actually issues ----------
+// ---- Static account vs what the runner actually charges -------------
+
+TEST(ProgramVerify, StaticCyclesMatchControllerIssueConv)
+{
+    cache::ComputeCache cc;
+    auto &arr = cc.array(cc.coordOf(0));
+    dnn::Op op = dnn::conv("conv", 8, 8, 3, 3, 3, 4);
+    mapping::FunctionalConvPlan fplan =
+        mapping::planFunctionalConv(op.conv, cc.geometry());
+    ASSERT_TRUE(fplan.fits);
+    mapping::ConvRowLayout rows =
+        mapping::makeConvRowLayout(cc.geometry(), fplan);
+    for (unsigned k = 0; k < rows.rs; ++k) {
+        bs::storeVector(arr, rows.filt[k], {1, 2, 3});
+        bs::storeVector(arr, rows.inp[k], {4, 5, 6});
+    }
+
+    std::vector<Instruction> prog = verify::convWindowProgram(rows);
+    verify::ProgramContext ctx;
+    ctx.layer = op.name();
+    ctx.arrayRows = cc.geometry().arrayRows;
+    ctx.guardRow = rows.zrow;
+    ctx.initialDefs = rows.filt;
+    ctx.initialDefs.insert(ctx.initialDefs.end(), rows.inp.begin(),
+                           rows.inp.end());
+    verify::ProgramStats st = verify::verifyProgram(ctx, prog);
+
+    uint64_t charged = core::runProgram(arr, prog);
+    EXPECT_EQ(charged, arr.computeCycles());
+    EXPECT_EQ(st.staticCycles, charged);
+    // 9 window positions x {1,2,3}.{4,5,6} summed over the lanes.
+    EXPECT_EQ(bs::loadLane(arr, rows.partial, 0), 9u * (4 + 10 + 18));
+}
 
 TEST(ProgramVerify, StaticCyclesMatchControllerIssueEltwise)
 {
     cache::ComputeCache cc;
-    core::Controller ctrl(cc);
-    ctrl.enroll(cc.coordOf(0));
     auto &arr = cc.array(cc.coordOf(0));
 
     mapping::EltwiseRowLayout rows =
@@ -321,16 +353,14 @@ TEST(ProgramVerify, StaticCyclesMatchControllerIssueEltwise)
     ctx.initialDefs = {rows.va, rows.vb, rows.gain};
     verify::ProgramStats st = verify::verifyProgram(ctx, prog);
 
-    uint64_t issued = ctrl.run(prog);
-    EXPECT_EQ(issued, ctrl.cyclesIssued());
-    EXPECT_EQ(st.staticCycles, issued);
+    uint64_t charged = core::runProgram(arr, prog);
+    EXPECT_EQ(charged, arr.computeCycles());
+    EXPECT_EQ(st.staticCycles, charged);
 }
 
 TEST(ProgramVerify, StaticCyclesMatchControllerIssueMaxPool)
 {
     cache::ComputeCache cc;
-    core::Controller ctrl(cc);
-    ctrl.enroll(cc.coordOf(0));
     auto &arr = cc.array(cc.coordOf(0));
 
     mapping::PoolRowLayout rows =
@@ -346,27 +376,59 @@ TEST(ProgramVerify, StaticCyclesMatchControllerIssueMaxPool)
     ctx.initialDefs = {rows.cur};
     verify::ProgramStats st = verify::verifyProgram(ctx, prog);
 
-    EXPECT_EQ(st.staticCycles, ctrl.run(prog));
+    EXPECT_EQ(st.staticCycles, core::runProgram(arr, prog));
 }
 
-// ---- Controller operand rejection (the broadcast boundary) ----------
+// ---- Runner rejections (the per-bank FSM boundary) -------------------
 
 TEST(ControllerDeath, EmptyProgramRejectedByName)
 {
     cache::ComputeCache cc;
-    core::Controller ctrl(cc);
-    ctrl.enroll(cc.coordOf(0));
-    EXPECT_EXIT(ctrl.run({}), ::testing::ExitedWithCode(1),
-                "empty broadcast program");
+    auto &arr = cc.array(cc.coordOf(0));
+    EXPECT_EXIT(core::runProgram(arr, {}), ::testing::ExitedWithCode(1),
+                "empty program range \\[0,0\\)");
+    const std::vector<Instruction> prog{
+        Instruction::zero(bs::VecSlice{0, 8})};
+    EXPECT_EXIT(core::runProgram(arr, prog, 1, 1),
+                ::testing::ExitedWithCode(1),
+                "empty program range \\[1,1\\)");
 }
 
 TEST(ControllerDeath, ZeroWidthOperandRejectedByName)
 {
     cache::ComputeCache cc;
-    core::Controller ctrl(cc);
-    ctrl.enroll(cc.coordOf(0));
-    EXPECT_EXIT(ctrl.broadcast(Instruction::zero(bs::VecSlice{0, 0})),
-                ::testing::ExitedWithCode(1), "zero-width");
+    auto &arr = cc.array(cc.coordOf(0));
+    EXPECT_EXIT(core::runProgram(arr,
+                                 {Instruction::zero(bs::VecSlice{0, 8}),
+                                  Instruction::zero(bs::VecSlice{0, 0})}),
+                ::testing::ExitedWithCode(1),
+                "instruction 1 \\(zero\\) rejected: zero-width out "
+                "operand");
+}
+
+TEST(ControllerDeath, ChargedCyclesOffTheStaticModelPanicNamingTheOp)
+{
+    // The runtime half of the cycle cross-check: every instruction's
+    // charge is compared with the static model. A model that prices
+    // the lane moves at 3 cycles per row, against the FSM's native 2,
+    // agrees on the zero and the MACs and dies on the reduction, by
+    // opcode and index.
+    cache::ComputeCache cc;
+    auto &arr = cc.array(cc.coordOf(0));
+    mapping::ConvRowLayout rows = mapping::makeConvRowLayout(
+        cc.geometry(),
+        mapping::planFunctionalConv(
+            dnn::conv("conv", 8, 8, 3, 3, 3, 4).conv, cc.geometry()));
+    std::vector<Instruction> prog = verify::convWindowProgram(rows);
+    bs::AluConfig slow_moves;
+    slow_moves.moveCyclesPerRow = 3;
+    EXPECT_EQ(core::runProgram(arr, prog, 0, prog.size() - 1,
+                               slow_moves),
+              verify::instructionCycles(prog[0], slow_moves) +
+                  (prog.size() - 2) *
+                      verify::instructionCycles(prog[1], slow_moves));
+    EXPECT_DEATH(core::runProgram(arr, prog, 0, prog.size(), slow_moves),
+                 "cycle divergence at instruction 10 \\(reducesum\\)");
 }
 
 } // namespace

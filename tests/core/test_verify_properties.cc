@@ -45,8 +45,8 @@ TEST(VerifyProperties, EveryRandomizedNetVerifiesInEveryBackend)
 {
     for (const dnn::Network &net : randomNets()) {
         for (BackendKind kind :
-             {BackendKind::Functional, BackendKind::Isa,
-              BackendKind::Analytic, BackendKind::Reference}) {
+             {BackendKind::Functional, BackendKind::Analytic,
+              BackendKind::Reference}) {
             core::EngineOptions opts;
             opts.backend = kind;
             opts.threads = 2;
