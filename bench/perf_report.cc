@@ -33,7 +33,10 @@
  * baseline and fails CI on regressions. Schema 7 adds the static
  * program verifier's coverage to the engine section
  * (programs_verified, verify_ms), asserted to stay a fraction of the
- * measured compile wall time. See ROADMAP.md
+ * measured compile wall time. The conv_layer datapoint times a
+ * prepared layer's run(), interleaved best-of-3 after one untimed
+ * run, so pool start-up and filter pinning stay out of the gated
+ * rate. See ROADMAP.md
  * "Performance & benchmarking" for the schema.
  * Usage: perf_report [output.json]
  */
@@ -136,31 +139,40 @@ runInterleaved(std::vector<Measurement> &meas, unsigned rounds = 3)
     }
 }
 
-struct ConvResult
+/**
+ * One conv layer prepared on its own cache: the scalar baseline
+ * (every array in bit-by-bit reference mode, one thread — the
+ * simulator as it was before the word-parallel rebuild) or the
+ * word-parallel multithreaded path.
+ */
+struct ConvBench
 {
-    std::vector<uint32_t> out;
-    uint64_t cycles = 0;
-    double seconds = 0;
-};
+    ConvBench(const dnn::QTensor &in_, const dnn::QWeights &w_,
+              bool scalar)
+        : in(in_), w(w_), ex(cc, scalar ? 1 : 0),
+          layer(ex.prepareConv(w, 1, true))
+    {
+        for (uint64_t i = 0; i < layer.bandArrays(); ++i)
+            cc.array(cc.coordOf(i)).setReferenceMode(scalar);
+    }
 
-ConvResult
-runConv(const dnn::QTensor &in, const dnn::QWeights &w, bool scalar)
-{
+    /** One run(); @p cycles gets the lockstep cycles it took. */
+    std::vector<uint32_t>
+    run(uint64_t &cycles)
+    {
+        uint64_t before = ex.lockstepCycles();
+        unsigned oh, ow;
+        auto out = layer.run(in, w, oh, ow);
+        cycles = ex.lockstepCycles() - before;
+        return out;
+    }
+
+    const dnn::QTensor &in;
+    const dnn::QWeights &w;
     cache::ComputeCache cc;
-    // The scalar baseline: every array in bit-by-bit reference mode,
-    // one thread — the simulator as it was before the word-parallel
-    // rebuild.
-    for (unsigned mi = 0; mi < w.m; ++mi)
-        cc.array(cc.coordOf(mi)).setReferenceMode(scalar);
-    core::Executor ex(cc, scalar ? 1 : 0);
-    unsigned oh, ow;
-    auto t0 = std::chrono::steady_clock::now();
-    ConvResult r;
-    r.out = ex.conv(in, w, 1, true, oh, ow);
-    r.seconds = secondsSince(t0);
-    r.cycles = ex.lockstepCycles();
-    return r;
-}
+    core::Executor ex;
+    core::Executor::PreparedConv layer;
+};
 
 } // namespace
 
@@ -249,24 +261,37 @@ main(int argc, char **argv)
     for (auto &v : w.data)
         v = static_cast<uint8_t>(wrng.uniformBits(8));
 
-    ConvResult scalar = runConv(in, w, /*scalar=*/true);
-    ConvResult opt = runConv(in, w, /*scalar=*/false);
-    nc_assert(scalar.out == opt.out,
+    ConvBench scalar(in, w, /*scalar=*/true);
+    ConvBench opt(in, w, /*scalar=*/false);
+    // One untimed run each: it spawns the pool's workers, and its
+    // cycle count is the layer's.
+    uint64_t conv_cycles = 0, scalar_cycles = 0;
+    auto opt_out = opt.run(conv_cycles);
+    nc_assert(scalar.run(scalar_cycles) == opt_out,
               "scalar and optimized paths disagree");
-    nc_assert(scalar.cycles == opt.cycles,
+    nc_assert(scalar_cycles == conv_cycles,
               "modeled cycles changed: %llu vs %llu",
-              static_cast<unsigned long long>(scalar.cycles),
-              static_cast<unsigned long long>(opt.cycles));
-    // Best-of-3 on the optimized path: sim_cycles_per_sec is gated,
-    // so it gets the same least-preempted-run treatment as the
-    // micros (the scalar baseline only feeds the speedup ratio).
-    for (unsigned rep = 0; rep < 2; ++rep) {
-        ConvResult again = runConv(in, w, /*scalar=*/false);
-        nc_assert(again.cycles == opt.cycles,
-                  "conv cycles moved between repeats");
-        opt.seconds = std::min(opt.seconds, again.seconds);
-    }
-    double conv_speedup = scalar.seconds / opt.seconds;
+              static_cast<unsigned long long>(scalar_cycles),
+              static_cast<unsigned long long>(conv_cycles));
+    // Interleaved best-of-3 of the prepared layer's run(), like the
+    // micros: sim_cycles_per_sec is gated, so it times what the
+    // simulator does per run, not worker spawn or filter pinning.
+    std::vector<Measurement> conv_meas(2);
+    conv_meas[0].fn = [&] {
+        uint64_t cycles;
+        (void)scalar.run(cycles);
+    };
+    conv_meas[1].fn = [&] {
+        uint64_t cycles;
+        (void)opt.run(cycles);
+    };
+    runInterleaved(conv_meas);
+    uint64_t again = 0;
+    nc_assert(opt.run(again) == opt_out && again == conv_cycles,
+              "conv output or cycles moved between runs");
+    const double scalar_s = conv_meas[0].best_s;
+    const double conv_s = conv_meas[1].best_s;
+    double conv_speedup = scalar_s / conv_s;
 
     // ---- engine: compile-once vs run-many amortization ---------------
     // Compiling Inception v3 runs mapping/tiling + calibration for
@@ -555,9 +580,8 @@ main(int argc, char **argv)
         common::simd::tierName(host_best),
         add_fast_mops, add_ref_mops, add_fast_mops / add_ref_mops,
         st_fast_ml, st_ref_ml, st_fast_ml / st_ref_ml, tiers_json.c_str(),
-        static_cast<unsigned long long>(opt.cycles),
-        scalar.seconds * 1e3, opt.seconds * 1e3, conv_speedup,
-        opt.cycles / opt.seconds,
+        static_cast<unsigned long long>(conv_cycles), scalar_s * 1e3,
+        conv_s * 1e3, conv_speedup, conv_cycles / conv_s,
         compile_s * 1e3, run_s * 1e3, compile_s / run_s,
         static_cast<unsigned long long>(model.programsVerified()),
         model.verifyMs(),
@@ -589,8 +613,8 @@ main(int argc, char **argv)
                 common::simd::tierName(host_best), host_cores,
                 add_fast_mops, add_ref_mops,
                 add_fast_mops / add_ref_mops, st_fast_ml, st_ref_ml,
-                st_fast_ml / st_ref_ml, opt.seconds * 1e3,
-                scalar.seconds * 1e3, conv_speedup, threads);
+                st_fast_ml / st_ref_ml, conv_s * 1e3, scalar_s * 1e3,
+                conv_speedup, threads);
     for (size_t ti = 0; ti < tiers.size(); ++ti)
         std::printf("perf_report: tier %-6s opAdd %8.1f Mops/s, "
                     "storeVector %8.1f Mlanes/s\n",

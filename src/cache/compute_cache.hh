@@ -9,7 +9,10 @@
  * data onto. All arrays execute in SIMD lock-step when computing — the
  * controller broadcasts one instruction stream — so the compute-cycle
  * clock of the whole cache is the maximum over member arrays, which
- * lockstepCycles() reports.
+ * lockstepCycles() reports. The functional conv kernel simulates the
+ * broadcast literally: a pass's arrays run side by side as members of
+ * one group array (sram::Array member width), so each host op serves
+ * them all, and every array is charged what it would count alone.
  */
 
 #ifndef NC_CACHE_COMPUTE_CACHE_HH

@@ -105,6 +105,12 @@ ThreadPool::ThreadPool(unsigned nthreads)
     checkEnvOnce();
 }
 
+bool
+ThreadPool::runsInline() const
+{
+    return nThreads == 1 || tl_active_pool == this;
+}
+
 void
 ThreadPool::ensureWorkers()
 {

@@ -74,6 +74,16 @@ class ThreadPool
     unsigned size() const { return nThreads; }
 
     /**
+     * Whether a parallelFor() issued from the calling thread runs its
+     * whole loop inline: the pool has one worker, or the caller is
+     * already inside one of this pool's tasks (the nested case
+     * below). Callers size their fan-out by it. A call that loses the
+     * job slot to another outside thread also runs inline, but that
+     * race is not knowable in advance and is not reported here.
+     */
+    bool runsInline() const;
+
+    /**
      * Run fn(i) for every i in [0, n) and block until all calls have
      * returned. The calling thread participates. Concurrent calls
      * must touch disjoint state; a call that finds another outside

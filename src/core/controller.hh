@@ -8,8 +8,9 @@
  * that FSM on one array, and it is the only way conv windows, eltwise
  * merges and max-pool folds touch an array: the functional kernels
  * run the very streams the static verifier (program_verify.hh)
- * proves, one task per array, every array of a pass receiving the
- * identical stream.
+ * proves. A conv pass hands it a group array whose members are the
+ * pass's arrays side by side, so one call drives them all in
+ * lockstep, the identical stream reaching every array.
  *
  * Each run checks itself against the verifier: the cycles an
  * instruction's expansion charged must equal the static cycle model

@@ -1,6 +1,9 @@
 #include "core/executor.hh"
 
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <span>
 #include <utility>
 
 #include "bitserial/alu.hh"
@@ -20,6 +23,57 @@ namespace nc::core
 namespace bs = bitserial;
 
 using dnn::padBefore;
+
+namespace
+{
+
+/**
+ * Most arrays one lockstep conv group runs side by side: 64 members
+ * keep a worker's group array at 512 KB, and the per-array cost of a
+ * micro-op already bottoms out at 16-64 members.
+ */
+constexpr size_t kMaxGroupArrays = 64;
+
+/**
+ * The calling thread's group array of @p members arrays of @p rows x
+ * @p cols, task-private and untagged like maxPoolAt's window arrays.
+ * It persists across passes and layers: a pass's near-even split
+ * hands one worker groups of two adjacent sizes, so the two most
+ * recent shapes stay cached. Every member's rows and latches are
+ * loaded before use, so stale contents never leak.
+ */
+sram::Array &
+groupArray(unsigned rows, unsigned cols, unsigned members)
+{
+    thread_local std::array<std::unique_ptr<sram::Array>, 2> cached;
+    auto fits = [&](const std::unique_ptr<sram::Array> &a) {
+        return a && a->rows() == rows && a->memberCols() == cols &&
+               a->members() == members;
+    };
+    if (!fits(cached[0])) {
+        std::swap(cached[0], cached[1]);
+        if (!fits(cached[0]))
+            cached[0] = std::make_unique<sram::Array>(
+                rows, cols * members, cols);
+    }
+    return *cached[0];
+}
+
+/**
+ * The calling thread's one-member staging array: a window's input is
+ * stored here once per channel chunk, then copied into every member
+ * that reads it.
+ */
+sram::Array &
+stagingArray(unsigned rows, unsigned cols)
+{
+    thread_local std::unique_ptr<sram::Array> stage;
+    if (!stage || stage->rows() != rows || stage->cols() != cols)
+        stage = std::make_unique<sram::Array>(rows, cols);
+    return *stage;
+}
+
+} // namespace
 
 Executor::PreparedConv
 Executor::prepareConv(const dnn::QWeights &w, unsigned stride,
@@ -181,11 +235,87 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
     const unsigned split = fplan.splitFactor;
     const unsigned rs = r * s;
     const size_t win = static_cast<size_t>(oh) * ow;
+    const unsigned arows = cc.geometry().arrayRows;
+    const unsigned cols = cc.geometry().arrayCols;
 
     std::vector<uint32_t> out(static_cast<size_t>(m) * win, 0);
     // Per-chunk partial accumulators of the current pass; the chunk
     // merge below models the cross-array sense-amp reduction.
     std::vector<uint32_t> part;
+
+    auto in_at = [&](unsigned ci, int iy, int ix) -> uint64_t {
+        if (iy < 0 || ix < 0 || iy >= static_cast<int>(in.height()) ||
+            ix >= static_cast<int>(in.width()))
+            return 0;
+        return in.at(ci, iy, ix);
+    };
+
+    // Input slot k of window (y, x) for channel chunk ch, one value
+    // per lane (zero padding stays zero).
+    auto fill_slot = [&](std::span<uint64_t> vals, unsigned y,
+                         unsigned x, unsigned k, unsigned ch) {
+        std::fill(vals.begin(), vals.end(), 0);
+        unsigned c0 = ch * fplan.chunkChannels;
+        unsigned c1 = std::min(c, c0 + fplan.chunkChannels);
+        if (pack > 1) {
+            // Packed 1x1: one byte per MAC, each lane covering
+            // `pack` channels.
+            int iy = static_cast<int>(y * stride) - static_cast<int>(ph);
+            int ix = static_cast<int>(x * stride) - static_cast<int>(pw);
+            for (unsigned l = 0; l < rows.lanes; ++l) {
+                unsigned ci = c0 + l * pack + k;
+                if (l * pack + k < fplan.chunkChannels && ci < c1)
+                    vals[l] = in_at(ci, iy, ix);
+            }
+        } else if (split > 1) {
+            for (unsigned ci = c0; ci < c1; ++ci) {
+                for (unsigned j = 0; j < split; ++j) {
+                    unsigned kg = j * rows.rs + k;
+                    if (kg >= rs)
+                        continue;
+                    int iy = static_cast<int>(y * stride + kg / s) -
+                             static_cast<int>(ph);
+                    int ix = static_cast<int>(x * stride + kg % s) -
+                             static_cast<int>(pw);
+                    vals[(ci - c0) * split + j] = in_at(ci, iy, ix);
+                }
+            }
+        } else {
+            int iy = static_cast<int>(y * stride + k / s) -
+                     static_cast<int>(ph);
+            int ix = static_cast<int>(x * stride + k % s) -
+                     static_cast<int>(pw);
+            if (iy >= 0 && ix >= 0 &&
+                iy < static_cast<int>(in.height()) &&
+                ix < static_cast<int>(in.width())) {
+                for (unsigned ci = c0; ci < c1; ++ci)
+                    vals[ci - c0] = in.at(ci, iy, ix);
+            }
+        }
+    };
+
+    // One output window on `arr`: put(slot, k) lands input slot k in
+    // the row slice `slot`, and the window program runs around it.
+    const size_t np = prog.size();
+    auto run_window = [&](sram::Array &arr, auto &&put) {
+        if (pack > 1) {
+            // Packed 1x1: one input slot, so each MAC runs right
+            // after its byte lands in the slot.
+            runProgram(arr, prog, 0, 1);
+            for (unsigned k = 0; k < rows.rs; ++k) {
+                put(rows.inp[0], k);
+                runProgram(arr, prog, 1 + k, 2 + k);
+            }
+            runProgram(arr, prog, np - 1, np);
+        } else {
+            // Stream the whole window, then the whole program — the
+            // original kernel order, so untransformed shapes stay
+            // cycle-identical.
+            for (unsigned k = 0; k < rows.rs; ++k)
+                put(rows.inp[k], k);
+            runProgram(arr, prog);
+        }
+    };
 
     unsigned passes =
         static_cast<unsigned>(divCeil(m, groupBatches));
@@ -197,134 +327,127 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
         if (!isResident)
             storeFilters(w, mb0, mb1 - mb0, 0);
 
+        // One array per (filter batch, channel chunk), spread across
+        // the cache the way the mapper replicates M's over ways
+        // (Figure 9).
         size_t tasks = static_cast<size_t>(mb1 - mb0) * chunks;
         if (chunks > 1)
             part.assign(tasks * win, 0);
 
-        // One array per (filter batch, channel chunk), spread across
-        // the cache the way the mapper replicates M's over ways
-        // (Figure 9). The tasks are fully independent — each owns its
-        // array and its slice of the output — so they fan out across
-        // the pool.
-        ex->pool.parallelFor(tasks, [&](size_t t) {
-            // Race detector (debug): this task owns exactly the one
-            // array of its (filter batch, chunk) pair.
+        auto member = [&](size_t t) -> sram::Array & {
+            return cc.array(cc.coordOf(base + array_offset + t));
+        };
+        auto emit = [&](size_t t, unsigned y, unsigned x, uint64_t sum) {
+            size_t at = static_cast<size_t>(y) * ow + x;
+            if (chunks > 1)
+                part[t * win + at] = static_cast<uint32_t>(sum);
+            else
+                out[(mb0 + t) * win + at] = static_cast<uint32_t>(sum);
+        };
+
+        // Array t on its own, the per-array machine itself.
+        auto run_alone = [&](size_t t, std::span<uint64_t> vals) {
+            sram::Array &arr = member(t);
+            unsigned ch = static_cast<unsigned>(t % chunks);
+            for (unsigned y = 0; y < oh; ++y) {
+                for (unsigned x = 0; x < ow; ++x) {
+                    run_window(arr, [&](const bs::VecSlice &slot,
+                                        unsigned k) {
+                        fill_slot(vals, y, x, k, ch);
+                        bs::storeVector(arr, slot, vals);
+                    });
+                    emit(t, y, x, bs::loadLane(arr, rows.partial, 0));
+                }
+            }
+        };
+
+        // Arrays [t0, t1) in lockstep (§IV-F: the slice broadcasts
+        // one stream to all of them): member j of the group array is
+        // array t0 + j, every window's stores and programs issue once
+        // over the group, and each member is charged the group's
+        // cycles — what it would have counted on its own.
+        auto run_group = [&](size_t t0, size_t t1,
+                             std::span<uint64_t> vals) {
+            const unsigned n = static_cast<unsigned>(t1 - t0);
+            sram::Array &group = groupArray(arows, cols, n);
+            sram::Array &stage = stagingArray(arows, cols);
+            for (unsigned j = 0; j < n; ++j)
+                group.loadMember(j, member(t0 + j));
+            const uint64_t compute0 = group.computeCycles();
+            const uint64_t access0 = group.accessCycles();
+
+            // Members of one channel chunk read the same window: the
+            // first `distinct` members cover every chunk present.
+            const size_t distinct = std::min<size_t>(n, chunks);
+            for (unsigned y = 0; y < oh; ++y) {
+                for (unsigned x = 0; x < ow; ++x) {
+                    run_window(group, [&](const bs::VecSlice &slot,
+                                          unsigned k) {
+                        for (size_t t = t0; t < t0 + distinct; ++t) {
+                            fill_slot(vals, y, x, k,
+                                      static_cast<unsigned>(t % chunks));
+                            bs::storeVector(stage, slot, vals);
+                            for (size_t u = t; u < t1; u += chunks)
+                                group.loadMemberRows(
+                                    static_cast<unsigned>(u - t0), stage,
+                                    slot.base, slot.bits);
+                        }
+                    });
+                    for (unsigned j = 0; j < n; ++j)
+                        emit(t0 + j, y, x,
+                             bs::loadLane(group, rows.partial,
+                                          j * cols));
+                }
+            }
+
+            const uint64_t compute = group.computeCycles() - compute0;
+            const uint64_t access = group.accessCycles() - access0;
+            for (unsigned j = 0; j < n; ++j) {
+                sram::Array &arr = member(t0 + j);
+                group.storeMember(j, arr);
+                arr.chargeCycles(compute, access);
+            }
+        };
+
+        // Contiguous groups of at most kMaxGroupArrays, at least one
+        // per worker that can take one: a nested call (a branch or
+        // image already fans out over the pool) runs inline, so it
+        // gets the fewest, widest groups.
+        size_t workers = ex->pool.runsInline()
+                             ? 1
+                             : std::min<size_t>(tasks, ex->pool.size());
+        size_t groups =
+            std::max<size_t>(divCeil(tasks, kMaxGroupArrays), workers);
+        ex->pool.parallelFor(groups, [&](size_t g) {
+            size_t t0 = tasks * g / groups;
+            size_t t1 = tasks * (g + 1) / groups;
+            // Race detector (debug): this task owns exactly its
+            // group's contiguous run of arrays.
             [[maybe_unused]] sram::ownership::ClaimScope own(
                 cc.ownershipRegistry(),
-                sram::ownership::Range{base + array_offset + t, 1},
+                sram::ownership::Range{base + array_offset + t0,
+                                       t1 - t0},
                 0, "conv window kernel");
-            unsigned mi = mb0 + static_cast<unsigned>(t / chunks);
-            unsigned ch = static_cast<unsigned>(t % chunks);
-            sram::Array &arr =
-                cc.array(cc.coordOf(base + array_offset + t));
-            unsigned c0 = ch * fplan.chunkChannels;
-            unsigned c1 = std::min(c, c0 + fplan.chunkChannels);
-
             // One streaming buffer per task on the worker's scratch
             // arena, reused for every window.
             common::ArenaScope scratch;
             std::span<uint64_t> vals = scratch.alloc(rows.lanes);
-            std::fill(vals.begin(), vals.end(), 0);
 
-            auto in_at = [&](unsigned ci, int iy, int ix) -> uint64_t {
-                if (iy < 0 || ix < 0 ||
-                    iy >= static_cast<int>(in.height()) ||
-                    ix >= static_cast<int>(in.width()))
-                    return 0;
-                return in.at(ci, iy, ix);
-            };
-
-            // The window program: zero the partials, RxS MACs, one
-            // reduction.
-            const size_t np = prog.size();
-            for (unsigned y = 0; y < oh; ++y) {
-                for (unsigned x = 0; x < ow; ++x) {
-                    if (pack > 1) {
-                        // Packed 1x1: one input slot, one byte per
-                        // MAC, each lane covering `pack` channels —
-                        // so each MAC runs right after its byte
-                        // lands in the slot.
-                        runProgram(arr, prog, 0, 1);
-                        int iy = static_cast<int>(y * stride) -
-                                 static_cast<int>(ph);
-                        int ix = static_cast<int>(x * stride) -
-                                 static_cast<int>(pw);
-                        for (unsigned k = 0; k < rows.rs; ++k) {
-                            std::fill(vals.begin(), vals.end(), 0);
-                            for (unsigned l = 0; l < rows.lanes;
-                                 ++l) {
-                                unsigned ci = c0 + l * pack + k;
-                                if (l * pack + k <
-                                        fplan.chunkChannels &&
-                                    ci < c1)
-                                    vals[l] = in_at(ci, iy, ix);
-                            }
-                            bs::storeVector(arr, rows.inp[0], vals);
-                            runProgram(arr, prog, 1 + k, 2 + k);
-                        }
-                        runProgram(arr, prog, np - 1, np);
-                    } else {
-                        // Stream the input window (zero padding stays
-                        // zero), then the whole program — the
-                        // original kernel order, so untransformed
-                        // shapes stay cycle-identical.
-                        for (unsigned k = 0; k < rows.rs; ++k) {
-                            std::fill(vals.begin(), vals.end(), 0);
-                            if (split > 1) {
-                                for (unsigned ci = c0; ci < c1;
-                                     ++ci) {
-                                    for (unsigned j = 0; j < split;
-                                         ++j) {
-                                        unsigned kg =
-                                            j * rows.rs + k;
-                                        if (kg >= rs)
-                                            continue;
-                                        int iy = static_cast<int>(
-                                                     y * stride +
-                                                     kg / s) -
-                                                 static_cast<int>(ph);
-                                        int ix = static_cast<int>(
-                                                     x * stride +
-                                                     kg % s) -
-                                                 static_cast<int>(pw);
-                                        vals[(ci - c0) * split + j] =
-                                            in_at(ci, iy, ix);
-                                    }
-                                }
-                            } else {
-                                int iy = static_cast<int>(y * stride +
-                                                          k / s) -
-                                         static_cast<int>(ph);
-                                int ix = static_cast<int>(x * stride +
-                                                          k % s) -
-                                         static_cast<int>(pw);
-                                if (iy >= 0 && ix >= 0 &&
-                                    iy < static_cast<int>(
-                                             in.height()) &&
-                                    ix < static_cast<int>(
-                                             in.width())) {
-                                    for (unsigned ci = c0; ci < c1;
-                                         ++ci)
-                                        vals[ci - c0] =
-                                            in.at(ci, iy, ix);
-                                }
-                            }
-                            bs::storeVector(arr, rows.inp[k], vals);
-                        }
-                        runProgram(arr, prog);
-                    }
-
-                    uint64_t sum =
-                        bs::loadLane(arr, rows.partial, 0);
-                    if (chunks > 1) {
-                        part[t * win + y * ow + x] =
-                            static_cast<uint32_t>(sum);
-                    } else {
-                        out[(static_cast<size_t>(mi)) * win +
-                            static_cast<size_t>(y) * ow + x] =
-                            static_cast<uint32_t>(sum);
-                    }
-                }
+            // A faulted member must see exactly its own per-touch
+            // sequence, and a reference-mode member its own kernels:
+            // either sends the whole group down the per-array path,
+            // as does a geometry whose members would not start on
+            // word boundaries.
+            bool alone = t1 - t0 == 1 || cols % 64 != 0;
+            for (size_t t = t0; t < t1 && !alone; ++t) {
+                const sram::Array &arr = member(t);
+                alone = arr.faultRecord() != nullptr || arr.referenceMode();
+            }
+            if (alone) {
+                for (size_t t = t0; t < t1; ++t)
+                    run_alone(t, vals);
+            } else {
+                run_group(t0, t1, vals);
             }
         });
 

@@ -20,14 +20,26 @@
  * average pooling have no canonical program and issue ALU calls
  * directly.
  *
- * Parallelism: the independent units of a layer (per-filter-batch
- * array programs in conv/fc, output windows in maxPool) fan out over
- * a common::ThreadPool. Each task owns its array and writes a
- * disjoint slice of the output, so results are bit-identical for any
- * thread count, and cycle statistics are reduced after the join as
- * order-independent sums — the modeled machine is unchanged, only
- * the simulator wall clock shrinks. Thread count: constructor
- * argument, else NC_THREADS, else hardware concurrency.
+ * Parallelism: the independent units of a layer fan out over a
+ * common::ThreadPool. A conv/fc pass runs its (filter batch, channel
+ * chunk) arrays in lockstep groups, the way a slice broadcasts one
+ * instruction to all its arrays (§IV-F): each task copies a
+ * contiguous run of arrays side by side into one task-private group
+ * array (sram::Array member lanes), issues every window's input
+ * stores and program once over it, then copies each member back and
+ * charges it the group's cycles — exactly what it counts alone. A
+ * pass of n arrays runs as max(ceil(n / 64), W) groups: W is
+ * min(n, pool size), or 1 when the call already runs inside a pool
+ * task (a branch or image fan-out), where the inner loop runs
+ * inline. A group holding a faulted or reference-mode array runs
+ * each member on its own array instead. maxPool fans out chunks of
+ * output windows. Each task owns its arrays and writes a disjoint
+ * slice of the output, so outputs and every array's rows, latches
+ * and cycle counters are bit-identical for any thread count, and
+ * cycle statistics reduce after the join as order-independent sums —
+ * the modeled machine is unchanged, only the simulator wall clock
+ * shrinks. Thread count: constructor argument, else NC_THREADS, else
+ * hardware concurrency.
  *
  * Scope: shapes inside the one-array-per-filter-batch envelope run
  * the original untransformed mapping (bit- and cycle-identical to the
@@ -142,8 +154,9 @@ class Executor
         {
             return rows;
         }
-        /** One output window's stream, run on every array of a pass
-         * (program_verify checks exactly this stream). */
+        /** One output window's stream, run over every array of a
+         * pass in lockstep (program_verify checks exactly this
+         * stream). */
         const std::vector<Instruction> &program() const { return prog; }
 
       private:

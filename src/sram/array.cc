@@ -1,5 +1,7 @@
 #include "sram/array.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "sram/faults.hh"
 #include "sram/kernels.hh"
@@ -8,14 +10,69 @@
 namespace nc::sram
 {
 
-Array::Array(unsigned rows_, unsigned cols_)
-    : nrows(rows_), ncols(cols_), nwords((cols_ + 63) / 64),
+Array::Array(unsigned rows_, unsigned cols_, unsigned member_cols)
+    : nrows(rows_), ncols(cols_),
+      mcols(member_cols != 0 ? member_cols : cols_),
+      nwords((cols_ + 63) / 64),
       tmask(cols_ % 64 ? (uint64_t(1) << (cols_ % 64)) - 1
                        : ~uint64_t(0)),
       cells(rows_, BitRow(cols_)), carryLatch(cols_), tagLatch(cols_)
 {
     nc_assert(rows_ > 0 && cols_ > 0, "degenerate array %ux%u",
               rows_, cols_);
+    nc_assert(mcols == ncols || (mcols % 64 == 0 && ncols % mcols == 0),
+              "member width %u does not split %u lanes into whole "
+              "64-lane words", mcols, ncols);
+}
+
+size_t
+Array::memberWord(unsigned j, const Array &other) const
+{
+    nc_assert(j < members(), "member %u of %u", j, members());
+    nc_assert(other.nrows == nrows && other.ncols == mcols,
+              "member array is %ux%u, this group's members are %ux%u",
+              other.nrows, other.ncols, nrows, mcols);
+    return size_t(j) * mcols / 64;
+}
+
+void
+Array::loadMemberRows(unsigned j, const Array &src, unsigned row0,
+                      unsigned count)
+{
+    const size_t w0 = memberWord(j, src);
+    nc_assert(row0 <= nrows && count <= nrows - row0,
+              "rows [%u,%u) out of %u", row0, row0 + count, nrows);
+    for (unsigned r = row0; r < row0 + count; ++r)
+        std::copy_n(src.rowRef(r).wordData(), src.nwords,
+                    rowMut(r).wordData() + w0);
+}
+
+void
+Array::loadMember(unsigned j, const Array &src)
+{
+    loadMemberRows(j, src, 0, nrows);
+    const size_t w0 = memberWord(j, src);
+    src.checkOwner();
+    checkOwner();
+    std::copy_n(src.carryLatch.wordData(), src.nwords,
+                carryLatch.wordData() + w0);
+    std::copy_n(src.tagLatch.wordData(), src.nwords,
+                tagLatch.wordData() + w0);
+}
+
+void
+Array::storeMember(unsigned j, Array &dst) const
+{
+    const size_t w0 = memberWord(j, dst);
+    for (unsigned r = 0; r < nrows; ++r)
+        std::copy_n(rowRef(r).wordData() + w0, dst.nwords,
+                    dst.rowMut(r).wordData());
+    checkOwner();
+    dst.checkOwner();
+    std::copy_n(carryLatch.wordData() + w0, dst.nwords,
+                dst.carryLatch.wordData());
+    std::copy_n(tagLatch.wordData() + w0, dst.nwords,
+                dst.tagLatch.wordData());
 }
 
 void
@@ -544,10 +601,33 @@ Array::opLaneShift(unsigned src, unsigned dst, unsigned shift,
     checkRow(dst);
     nComputeCycles += cycles;
     if (refMode) {
-        cells[dst] = cells[src].shiftedDown(shift);
+        BitRow moved = cells[src].shiftedDown(shift);
+        // A member's top `shift` lanes would read its neighbour's
+        // bottom lanes: they read 0 instead.
+        if (mcols != ncols) {
+            for (unsigned i = 0; i < ncols; ++i)
+                if (uint64_t(i % mcols) + shift >= mcols)
+                    moved.set(i, false);
+        }
+        cells[dst] = moved;
         return;
     }
     cells[dst].assignShiftedDown(cells[src], shift);
+    if (mcols == ncols)
+        return;
+    // A group row was shifted as one: clear each member's top `shift`
+    // lanes, which took their bits from the next member up.
+    const unsigned keep = shift < mcols ? mcols - shift : 0;
+    const size_t kw = keep / 64;
+    const uint64_t kmask = (uint64_t(1) << (keep % 64)) - 1;
+    const size_t wpm = mcols / 64;
+    uint64_t *to = cells[dst].wordData();
+    for (size_t m = 0; m < nwords; m += wpm) {
+        size_t i = m + kw;
+        if (kmask != 0)
+            to[i++] &= kmask;
+        std::fill(to + i, to + m + wpm, uint64_t(0));
+    }
 }
 
 void

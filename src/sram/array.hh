@@ -31,6 +31,16 @@
  * setReferenceMode(true); differential tests and the perf_report
  * baseline run it to pin the fast kernels at every tier (state,
  * latches, and cycle counts must match exactly).
+ *
+ * Member width: an array may be built as a group of equal members side
+ * by side, member j holding lanes [j * memberCols(), (j + 1) *
+ * memberCols()). Every micro-op is lane-wise except opLaneShift, which
+ * then moves bits only within a member, so one op on the group array
+ * does what that op does on each member array — the §IV-F broadcast,
+ * where every array of a slice steps through the same instruction.
+ * The functional conv kernel runs a pass's arrays this way:
+ * loadMember() copies each member array in, the window programs run
+ * once over the group, storeMember() copies each member back.
  */
 
 #ifndef NC_SRAM_ARRAY_HH
@@ -64,12 +74,40 @@ class ArrayFaults;
 class Array
 {
   public:
-    explicit Array(unsigned rows_ = 256, unsigned cols_ = 256);
+    /**
+     * @param member_cols lanes per member (0 = one member of all
+     *     @p cols_ lanes). A narrower member must divide @p cols_ and
+     *     be a multiple of 64, so members start on word boundaries.
+     */
+    explicit Array(unsigned rows_ = 256, unsigned cols_ = 256,
+                   unsigned member_cols = 0);
 
     unsigned rows() const { return nrows; }
     unsigned cols() const { return ncols; }
+    /** Lanes per member (cols() unless built as a group). */
+    unsigned memberCols() const { return mcols; }
+    /** Members side by side (cols() / memberCols()). */
+    unsigned members() const { return ncols / mcols; }
     /** Capacity in bytes. */
     uint64_t sizeBytes() const { return uint64_t(nrows) * ncols / 8; }
+
+    /** @name Group members (cycle-free data movement)
+     * Member-side reads and writes pass through the member array's
+     * row funnels, so its fault hook and debug ownership gate see
+     * every row touched.
+     */
+    /// @{
+    /**
+     * Copy every row and both latches of @p src, an array of
+     * memberCols() lanes and rows() rows, into member @p j.
+     */
+    void loadMember(unsigned j, const Array &src);
+    /** Copy rows [row0, row0 + count) of @p src into member @p j. */
+    void loadMemberRows(unsigned j, const Array &src, unsigned row0,
+                        unsigned count);
+    /** Copy member @p j's rows and both latches into @p dst. */
+    void storeMember(unsigned j, Array &dst) const;
+    /// @}
 
     /** @name Conventional SRAM mode (1 access cycle each) */
     /// @{
@@ -142,7 +180,10 @@ class Array
      * i+shift; vacated lanes read 0). Models word-line moves through
      * the column mux / sense-amp cycling used by reductions (paper
      * Figure 5 and [Cache Automaton]); costs @p cycles compute cycles
-     * (default 2: one sense phase, one drive phase).
+     * (default 2: one sense phase, one drive phase). In a group array
+     * the move is per member: lane i takes lane i+shift only when
+     * both lie in the same member, so no bit crosses a member
+     * boundary.
      */
     void opLaneShift(unsigned src, unsigned dst, unsigned shift,
                      unsigned cycles = 2);
@@ -284,9 +325,12 @@ class Array
     void checkOwner() const;
     /** Cold path of the fault hook (out of line; checkRow branches). */
     void applyFaults(unsigned r) const;
+    /** Word offset of member @p j after checking @p other's shape. */
+    size_t memberWord(unsigned j, const Array &other) const;
 
     unsigned nrows;
     unsigned ncols;
+    unsigned mcols; ///< lanes per member
     /**
      * Row geometry, cached once: every row (and both latches) of
      * this array shares the same word count and tail mask, and the

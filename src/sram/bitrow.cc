@@ -104,21 +104,21 @@ BitRow::assignShiftedDown(const BitRow &src, unsigned shift)
     }
     size_t ws = shift / 64;
     unsigned bs = shift % 64;
+    size_t n = nw - ws; // words that receive source bits (>= 1)
     // Forward iteration only reads source words at index >= the one
-    // being written, so src may alias *this.
+    // being written, so src may alias *this. The last receiving word
+    // is peeled off so the main loop has no bounds test (it
+    // vectorizes, which wide group rows rely on).
     if (bs == 0) {
-        for (size_t i = 0; i + ws < nw; ++i)
+        for (size_t i = 0; i < n; ++i)
             words[i] = src.words[i + ws];
     } else {
-        for (size_t i = 0; i + ws < nw; ++i) {
-            uint64_t lo = src.words[i + ws] >> bs;
-            uint64_t hi = i + ws + 1 < nw
-                              ? src.words[i + ws + 1] << (64 - bs)
-                              : 0;
-            words[i] = lo | hi;
-        }
+        for (size_t i = 0; i + 1 < n; ++i)
+            words[i] = (src.words[i + ws] >> bs) |
+                       (src.words[i + ws + 1] << (64 - bs));
+        words[n - 1] = src.words[nw - 1] >> bs;
     }
-    for (size_t i = nw - ws; i < nw; ++i)
+    for (size_t i = n; i < nw; ++i)
         words[i] = 0;
     maskTail();
 }

@@ -1,18 +1,24 @@
 /**
  * @file
  * Determinism of the multithreaded executor: any thread count must
- * produce bit-identical outputs AND identical aggregate cycle
- * statistics — parallelism accelerates the simulator, never the
- * modeled machine.
+ * produce bit-identical outputs AND identical cycle statistics —
+ * parallelism accelerates the simulator, never the modeled machine.
+ * For conv that holds array by array: however a pass is cut into
+ * lockstep groups, every array ends in the same state.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
-#include "core/executor.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
+#include "core/executor.hh"
 #include "dnn/reference.hh"
+#include "sram/faults.hh"
 
 namespace
 {
@@ -64,6 +70,140 @@ TEST(ExecutorThreads, ConvIdenticalAcrossThreadCounts)
     EXPECT_EQ(cc1.totalComputeCycles(), cc4.totalComputeCycles());
     EXPECT_EQ(cc1.totalAccessCycles(), cc4.totalAccessCycles());
     EXPECT_EQ(cc1.materializedCount(), cc4.materializedCount());
+}
+
+/** Everything a conv run leaves behind in one array. */
+struct ArrayState
+{
+    std::vector<sram::BitRow> rows;
+    sram::BitRow carry, tag;
+    uint64_t compute = 0, access = 0;
+
+    bool operator==(const ArrayState &) const = default;
+};
+
+struct GroupCase
+{
+    const char *name;
+    unsigned c, h, w, m, r, s;
+    unsigned pack, split, chunks; ///< the transforms the plan must pick
+    uint64_t band;                ///< 0 = whole layer resident
+    int faultyArray = -1; ///< flat index given a stuck cell, or none
+};
+
+/**
+ * A partial-sum row: every window rewrites it and reads lane 0 back,
+ * so the stuck cell shows in the output unless every touch of the
+ * faulted array passes its fault hook.
+ */
+constexpr unsigned kStuckRow = 165;
+
+/** Run @p gc on a fresh cache with @p threads workers; return the
+ * output and the state of every band array. */
+std::pair<std::vector<uint32_t>, std::vector<ArrayState>>
+runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
+             unsigned threads)
+{
+    cache::ComputeCache cc;
+    if (gc.faultyArray >= 0) {
+        sram::faults::Config cfg;
+        cfg.bist = false;
+        cfg.stuckCells.push_back(
+            {static_cast<uint64_t>(gc.faultyArray),
+             sram::faults::StuckCell{kStuckRow, 0, true}});
+        cc.configureFaults(cfg);
+    }
+    Executor ex(cc, threads);
+    auto layer = ex.prepareConv(w, 1, true, 0, gc.band);
+    if (gc.faultyArray >= 0) {
+        EXPECT_NE(cc.array(cc.coordOf(gc.faultyArray)).faultRecord(),
+                  nullptr);
+        const auto &partial = layer.rowLayout().partial;
+        EXPECT_GE(kStuckRow, partial.base);
+        EXPECT_LT(kStuckRow, partial.base + partial.bits);
+    }
+    EXPECT_EQ(layer.plan().packFactor, gc.pack);
+    EXPECT_EQ(layer.plan().splitFactor, gc.split);
+    EXPECT_EQ(layer.plan().chunks, gc.chunks);
+    EXPECT_EQ(layer.resident(), gc.band == 0);
+
+    unsigned oh, ow;
+    auto out = layer.run(in, w, oh, ow);
+    std::vector<ArrayState> states;
+    for (uint64_t i = 0; i < layer.bandArrays(); ++i) {
+        sram::Array &a = cc.array(cc.coordOf(i));
+        ArrayState st;
+        for (unsigned r = 0; r < a.rows(); ++r)
+            st.rows.push_back(a.rowRef(r));
+        st.carry = a.carry();
+        st.tag = a.tag();
+        st.compute = a.computeCycles();
+        st.access = a.accessCycles();
+        states.push_back(std::move(st));
+    }
+    EXPECT_EQ(cc.materializedCount(), layer.bandArrays());
+    return {std::move(out), std::move(states)};
+}
+
+TEST(ExecutorThreads, ConvArraysIdenticalAcrossLockstepGroups)
+{
+    // One thread runs a pass as one group array (every member in
+    // lockstep); more threads cut it into more, narrower groups; a
+    // count at or above the array count leaves every array on its
+    // own. Whatever the cut, every array must end with the same
+    // rows, latches and cycle counters — and a group holding a
+    // faulted array runs each member on its own array.
+    const std::vector<GroupCase> cases = {
+        {"plain", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0},
+        {"split", 8, 6, 6, 5, 5, 5, 1, 3, 1, 0},
+        {"packed", 300, 4, 4, 4, 1, 1, 16, 1, 1, 0},
+        {"two-chunk", 300, 4, 4, 3, 3, 3, 1, 1, 2, 0},
+        {"streaming", 8, 6, 6, 7, 3, 3, 1, 1, 1, 3},
+        {"streaming-two-chunk", 300, 3, 3, 5, 3, 3, 1, 1, 2, 4},
+        {"faulted", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0, 2},
+    };
+    for (const GroupCase &gc : cases) {
+        SCOPED_TRACE(gc.name);
+        Rng rng(0x6a0u + gc.c + gc.m);
+        QTensor in = randomInput(rng, gc.c, gc.h, gc.w);
+        QWeights w = randomWeights(rng, gc.m, gc.c, gc.r, gc.s);
+
+        auto [want_out, want_states] = runGroupCase(gc, in, w, 1);
+        unsigned oh, ow;
+        auto golden = dnn::convQuantUnsigned(in, w, 1, true, oh, ow);
+        // A stuck cell that never showed would prove nothing.
+        if (gc.faultyArray < 0)
+            EXPECT_EQ(want_out, golden);
+        else
+            EXPECT_NE(want_out, golden);
+        for (unsigned threads : {2u, 3u, 4u, 8u}) {
+            auto [out, states] = runGroupCase(gc, in, w, threads);
+            EXPECT_EQ(out, want_out) << threads << " threads";
+            ASSERT_EQ(states.size(), want_states.size());
+            for (size_t i = 0; i < states.size(); ++i) {
+                EXPECT_TRUE(states[i] == want_states[i])
+                    << "array " << i << " differs with " << threads
+                    << " threads";
+            }
+        }
+    }
+}
+
+TEST(ExecutorThreads, PoolReportsWhenLoopsRunInline)
+{
+    common::ThreadPool solo(1), pool(4), other(3);
+    EXPECT_TRUE(solo.runsInline());
+    EXPECT_FALSE(pool.runsInline());
+    EXPECT_FALSE(other.runsInline());
+
+    std::atomic<unsigned> inline_here{0}, other_inline{0};
+    pool.parallelFor(16, [&](size_t) {
+        inline_here += pool.runsInline();
+        other_inline += other.runsInline();
+    });
+    EXPECT_EQ(inline_here.load(), 16u);
+    EXPECT_EQ(other_inline.load(), 0u);
+    EXPECT_FALSE(pool.runsInline());
 }
 
 TEST(ExecutorThreads, MaxPoolIdenticalAcrossThreadCounts)

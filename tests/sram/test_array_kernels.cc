@@ -9,7 +9,8 @@
  * off, widths that are not multiples of 64 — and require bit-exact
  * agreement of every row, both latches, and both cycle counters
  * after every step. The transposed storeVector/loadVector fast paths
- * are pinned the same way.
+ * are pinned the same way, and so are group arrays (members side by
+ * side, the lane shift confined to each member).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "bitserial/layout.hh"
 #include "common/rng.hh"
@@ -261,6 +263,153 @@ TEST_P(KernelDiff, TransposedStoreLoadRoundTrip)
         }
     }
 }
+
+/**
+ * Group arrays: members of 64, 128 or 256 lanes side by side. The
+ * lane shift — the one cross-lane op — must move bits only within a
+ * member, on the fast path and the reference path alike, and the
+ * member copies must round-trip rows and both latches.
+ */
+class MemberDiff
+    : public ::testing::TestWithParam<std::tuple<Tier, unsigned, unsigned>>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        prev = nc::sram::kern::activeTier();
+        nc::sram::kern::forceTier(std::get<0>(GetParam()));
+        fast = std::make_unique<Array>(kRows, cols(), width());
+        ref = std::make_unique<Array>(kRows, cols(), width());
+        ref->setReferenceMode(true);
+        Rng rng(0xD1CEu ^ cols() ^ (width() << 16));
+        for (unsigned r = 0; r < kRows; ++r) {
+            for (unsigned lane = 0; lane < cols(); ++lane) {
+                bool v = rng.uniformBits(1) != 0;
+                fast->poke(r, lane, v);
+                ref->poke(r, lane, v);
+            }
+        }
+    }
+
+    void TearDown() override { nc::sram::kern::forceTier(prev); }
+
+    unsigned width() const { return std::get<1>(GetParam()); }
+    unsigned members() const { return std::get<2>(GetParam()); }
+    unsigned cols() const { return width() * members(); }
+
+    /** Lane i of @p dst must hold lane i + shift of @p src when both
+     * lie in one member, else 0. */
+    void
+    expectShifted(const Array &a, unsigned src_row,
+                  const nc::sram::BitRow &src, unsigned dst,
+                  unsigned shift)
+    {
+        for (unsigned i = 0; i < cols(); ++i) {
+            bool want = i % width() + shift < width() &&
+                        src.get(i + shift);
+            EXPECT_EQ(a.peek(dst, i), want)
+                << "row " << src_row << " shift " << shift << " lane "
+                << i << " (member width " << width() << ", "
+                << members() << " members)";
+        }
+    }
+
+    std::unique_ptr<Array> fast, ref;
+    Tier prev = Tier::Scalar;
+};
+
+TEST_P(MemberDiff, LaneShiftStaysInsideMembers)
+{
+    EXPECT_EQ(fast->members(), members());
+    EXPECT_EQ(fast->memberCols(), width());
+    unsigned w = width();
+    for (unsigned shift : {0u, 1u, 63u, 64u, 65u, w - 1, w}) {
+        for (bool in_place : {false, true}) {
+            unsigned src = in_place ? 9 : 0;
+            unsigned dst = in_place ? 9 : 10;
+            nc::sram::BitRow before = fast->rowRef(src);
+            fast->opLaneShift(src, dst, shift);
+            ref->opLaneShift(src, dst, shift);
+            for (unsigned r = 0; r < kRows; ++r)
+                EXPECT_TRUE(fast->rowRef(r) == ref->rowRef(r))
+                    << "row " << r << " diverged, shift " << shift
+                    << (in_place ? " in place" : "");
+            EXPECT_EQ(fast->computeCycles(), ref->computeCycles());
+            expectShifted(*fast, src, before, dst, shift);
+        }
+    }
+}
+
+TEST_P(MemberDiff, MemberCopiesRoundTripRowsAndLatches)
+{
+    // A one-member array per member, with its own rows and latches.
+    Rng rng(0xFEED ^ cols());
+    std::vector<Array> solo;
+    for (unsigned j = 0; j < members(); ++j) {
+        solo.emplace_back(kRows, width());
+        Array &a = solo.back();
+        for (unsigned r = 0; r < kRows; ++r)
+            for (unsigned lane = 0; lane < width(); ++lane)
+                a.poke(r, lane, rng.uniformBits(1) != 0);
+        a.carrySet(false);
+        a.opAdd(0, 1, 2); // carry <- majority(r0, r1, 0)
+        a.opLoadTag(3);
+    }
+    for (unsigned j = 0; j < members(); ++j)
+        fast->loadMember(j, solo[j]);
+    for (unsigned j = 0; j < members(); ++j) {
+        for (unsigned lane = 0; lane < width(); ++lane) {
+            unsigned at = j * width() + lane;
+            for (unsigned r = 0; r < kRows; ++r)
+                ASSERT_EQ(fast->peek(r, at), solo[j].peek(r, lane));
+            EXPECT_EQ(fast->carry().get(at), solo[j].carry().get(lane));
+            EXPECT_EQ(fast->tag().get(at), solo[j].tag().get(lane));
+        }
+    }
+
+    // A staged row band lands in one member only.
+    Array stage(kRows, width());
+    for (unsigned lane = 0; lane < width(); ++lane)
+        stage.poke(5, lane, lane % 3 == 0);
+    Array before = *fast;
+    unsigned last = members() - 1;
+    fast->loadMemberRows(last, stage, 5, 1);
+    for (unsigned i = 0; i < cols(); ++i) {
+        bool want = i / width() == last ? (i % width()) % 3 == 0
+                                        : before.peek(5, i);
+        EXPECT_EQ(fast->peek(5, i), want) << "lane " << i;
+    }
+
+    // Ops on the group act per member; copying back gives each solo
+    // array exactly what running the op on it would.
+    fast->opAdd(0, 1, 4);
+    for (unsigned j = 0; j < members(); ++j) {
+        Array want = solo[j];
+        if (j == last)
+            want.loadMemberRows(0, stage, 5, 1);
+        want.opAdd(0, 1, 4);
+        fast->storeMember(j, solo[j]);
+        for (unsigned r = 0; r < kRows; ++r)
+            EXPECT_TRUE(solo[j].rowRef(r) == want.rowRef(r))
+                << "member " << j << " row " << r;
+        EXPECT_TRUE(solo[j].carry() == want.carry()) << "member " << j;
+        EXPECT_TRUE(solo[j].tag() == want.tag()) << "member " << j;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TiersXMembers, MemberDiff,
+    ::testing::Combine(
+        ::testing::ValuesIn(nc::sram::kern::availableTiers()),
+        ::testing::Values(64u, 128u, 256u),
+        ::testing::Values(1u, 2u, 3u, 4u, 5u)),
+    [](const ::testing::TestParamInfo<MemberDiff::ParamType> &info) {
+        return std::string(nc::common::simd::tierName(
+                   std::get<0>(info.param))) +
+               "_w" + std::to_string(std::get<1>(info.param)) + "_x" +
+               std::to_string(std::get<2>(info.param));
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     TiersXWidths, KernelDiff,
