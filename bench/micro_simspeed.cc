@@ -2,7 +2,8 @@
  * @file
  * google-benchmark micro suite for the simulator's own speed (host
  * wall clock, not modeled cycles): the word-parallel Array kernels
- * against their bit-by-bit reference path, the transposed
+ * against their bit-by-bit reference path, the fused MAC and
+ * reduction passes against their micro-op expansions, the transposed
  * storeVector/loadVector data movement, and a small end-to-end conv
  * layer through the Executor. Complements micro_bitserial, which
  * reports modeled-machine throughput; this file is about how fast the
@@ -67,20 +68,70 @@ BM_OpAddPredicated(benchmark::State &state)
 }
 BENCHMARK(BM_OpAddPredicated)->Arg(0)->Arg(1);
 
-/** One 8x8 MAC macro-op into a 24-bit accumulator. */
+/** A group array of @p members 256-lane members with random rows. */
+Array
+groupArray(unsigned members)
+{
+    Array arr(256, 256 * members, 256);
+    Rng rng(9);
+    for (unsigned r = 0; r < arr.rows(); ++r)
+        for (unsigned w = 0; w < arr.cols() / 64; ++w)
+            arr.rowMut(r).setWord(w, rng.uniformBits(64));
+    return arr;
+}
+
+/**
+ * One 8x8 MAC macro-op into a 24-bit accumulator on a group array of
+ * range(0) members: range(1) 0 is the ALU call (the fused pass where
+ * the active tier has one), 1 its micro-op expansion. Items are
+ * members, so the per-item time is the cost per 256-lane member.
+ */
 void
 BM_MacScratch(benchmark::State &state)
 {
-    Array arr = randomArray(state.range(0) != 0);
+    const auto members = static_cast<unsigned>(state.range(0));
+    Array arr = groupArray(members);
     RowAllocator rows(arr.rows());
     VecSlice a = rows.alloc(8), b = rows.alloc(8);
     VecSlice acc = rows.alloc(24), scratch = rows.alloc(16);
     unsigned zrow = rows.zeroRow();
-    for (auto _ : state)
-        bitserial::macScratch(arr, a, b, acc, scratch, zrow);
-    state.SetItemsProcessed(state.iterations());
+    const bool micro = state.range(1) != 0;
+    for (auto _ : state) {
+        if (micro)
+            bitserial::microops::macScratch(arr, a, b, acc, scratch,
+                                            zrow);
+        else
+            bitserial::macScratch(arr, a, b, acc, scratch, zrow);
+    }
+    state.SetItemsProcessed(state.iterations() * members);
 }
-BENCHMARK(BM_MacScratch)->Arg(0)->Arg(1);
+BENCHMARK(BM_MacScratch)
+    ->ArgsProduct({{1, 4, 16, 64}, {0, 1}})
+    ->ArgNames({"members", "micro"});
+
+/**
+ * The conv window's lane-tree reduction (256 lanes, 24-bit partial
+ * sums) on a group array, with the same arguments as BM_MacScratch.
+ */
+void
+BM_ReduceSum(benchmark::State &state)
+{
+    const auto members = static_cast<unsigned>(state.range(0));
+    Array arr = groupArray(members);
+    RowAllocator rows(arr.rows());
+    VecSlice acc = rows.alloc(24 + 8), scratch = rows.alloc(24 + 7);
+    const bool micro = state.range(1) != 0;
+    for (auto _ : state) {
+        if (micro)
+            bitserial::microops::reduceSum(arr, acc, 24, 256, scratch);
+        else
+            bitserial::reduceSum(arr, acc, 24, 256, scratch);
+    }
+    state.SetItemsProcessed(state.iterations() * members);
+}
+BENCHMARK(BM_ReduceSum)
+    ->ArgsProduct({{1, 4, 16, 64}, {0, 1}})
+    ->ArgNames({"members", "micro"});
 
 /** Transposed 8-bit store of a full 256-lane vector. */
 void

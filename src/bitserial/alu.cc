@@ -20,6 +20,39 @@ checkAlias(const VecSlice &out, const VecSlice &in, const char *what)
               what, out.base, out.bits, in.base, in.bits);
 }
 
+void
+checkMultiply(const VecSlice &a, const VecSlice &b, const VecSlice &prod)
+{
+    nc_assert(prod.bits == a.bits + b.bits,
+              "product must be %u bits, got %u", a.bits + b.bits,
+              prod.bits);
+    nc_assert(!prod.overlaps(a) && !prod.overlaps(b),
+              "product overlaps an operand");
+}
+
+void
+checkMacScratch(const VecSlice &a, const VecSlice &b,
+                const VecSlice &acc, const VecSlice &scratch)
+{
+    nc_assert(scratch.bits == a.bits + b.bits, "scratch must fit product");
+    nc_assert(acc.bits >= scratch.bits, "accumulator narrower than product");
+}
+
+void
+checkReduceSum(const VecSlice &acc, unsigned w0, unsigned lanes,
+               const VecSlice &scratch)
+{
+    nc_assert(isPow2(lanes) && lanes >= 1, "lanes %u not a power of two",
+              lanes);
+    unsigned steps = log2Ceil(lanes);
+    nc_assert(acc.bits >= w0 + steps,
+              "reduction headroom: need %u rows, have %u", w0 + steps,
+              acc.bits);
+    nc_assert(steps == 0 || scratch.bits >= w0 + steps - 1,
+              "reduction scratch: need %u rows, have %u",
+              w0 + steps - 1, scratch.bits);
+}
+
 } // namespace
 
 uint64_t
@@ -90,12 +123,19 @@ uint64_t
 multiply(Array &arr, const VecSlice &a, const VecSlice &b,
          const VecSlice &prod)
 {
-    nc_assert(prod.bits == a.bits + b.bits,
-              "product must be %u bits, got %u", a.bits + b.bits,
-              prod.bits);
-    nc_assert(!prod.overlaps(a) && !prod.overlaps(b),
-              "product overlaps an operand");
+    checkMultiply(a, b, prod);
+    const uint64_t cycles = implMulCycles(a.bits, b.bits);
+    if (arr.fusedMultiply(a.base, a.bits, b.base, b.bits, prod.base,
+                          cycles))
+        return cycles;
+    return microops::multiply(arr, a, b, prod);
+}
 
+uint64_t
+microops::multiply(Array &arr, const VecSlice &a, const VecSlice &b,
+                   const VecSlice &prod)
+{
+    checkMultiply(a, b, prod);
     uint64_t cycles = zero(arr, prod);
     for (unsigned i = 0; i < b.bits; ++i) {
         arr.opLoadTag(b.row(i));
@@ -147,9 +187,22 @@ uint64_t
 macScratch(Array &arr, const VecSlice &a, const VecSlice &b,
            const VecSlice &acc, const VecSlice &scratch, unsigned zero_row)
 {
-    nc_assert(scratch.bits == a.bits + b.bits, "scratch must fit product");
-    nc_assert(acc.bits >= scratch.bits, "accumulator narrower than product");
-    uint64_t cycles = multiply(arr, a, b, scratch);
+    checkMacScratch(a, b, acc, scratch);
+    const uint64_t cycles = implMulCycles(a.bits, b.bits) +
+                            implAddCycles(acc.bits, false);
+    if (arr.fusedMac(a.base, a.bits, b.base, b.bits, acc.base, acc.bits,
+                     scratch.base, zero_row, cycles))
+        return cycles;
+    return microops::macScratch(arr, a, b, acc, scratch, zero_row);
+}
+
+uint64_t
+microops::macScratch(Array &arr, const VecSlice &a, const VecSlice &b,
+                     const VecSlice &acc, const VecSlice &scratch,
+                     unsigned zero_row)
+{
+    checkMacScratch(a, b, acc, scratch);
+    uint64_t cycles = microops::multiply(arr, a, b, scratch);
     cycles += add(arr, scratch, acc, acc, zero_row);
     nc_assert(a.bits != b.bits ||
                   cycles == implMacScratchCycles(a.bits, acc.bits),
@@ -161,16 +214,20 @@ uint64_t
 reduceSum(Array &arr, const VecSlice &acc, unsigned w0, unsigned lanes,
           const VecSlice &scratch, const AluConfig &cfg)
 {
-    nc_assert(isPow2(lanes) && lanes >= 1, "lanes %u not a power of two",
-              lanes);
-    unsigned steps = log2Ceil(lanes);
-    nc_assert(acc.bits >= w0 + steps,
-              "reduction headroom: need %u rows, have %u", w0 + steps,
-              acc.bits);
-    nc_assert(steps == 0 || scratch.bits >= w0 + steps - 1,
-              "reduction scratch: need %u rows, have %u",
-              w0 + steps - 1, scratch.bits);
+    checkReduceSum(acc, w0, lanes, scratch);
+    const uint64_t cycles =
+        implReduceSumCycles(w0, lanes, cfg.moveCyclesPerRow);
+    if (arr.fusedReduceSum(acc.base, w0, lanes, scratch.base, cycles))
+        return cycles;
+    return microops::reduceSum(arr, acc, w0, lanes, scratch, cfg);
+}
 
+uint64_t
+microops::reduceSum(Array &arr, const VecSlice &acc, unsigned w0,
+                    unsigned lanes, const VecSlice &scratch,
+                    const AluConfig &cfg)
+{
+    checkReduceSum(acc, w0, lanes, scratch);
     uint64_t cycles = 0;
     unsigned w = w0;
     for (unsigned k = lanes; k > 1; k >>= 1) {

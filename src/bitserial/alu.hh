@@ -8,6 +8,15 @@
  * tests). All operations are SIMD across the array's bit lines: lane i
  * computes on element i of each operand slice.
  *
+ * Which path runs: multiply, macScratch and reduceSum first offer the
+ * array their fused pass (sram::Array::fusedMultiply/fusedMac/
+ * fusedReduceSum), one sweep that leaves the array and its cycle
+ * counter exactly as the micro-op sequence would. A reference-mode
+ * or faulted array, or a shape the pass declines, runs the sequence
+ * op by op (namespace microops below) — so fault campaigns keep their
+ * per-touch order and the reference baseline is unchanged. Every
+ * other function always issues its micro-ops.
+ *
  * Conventions:
  *  - Elements are unsigned, LSB on the lowest word line of the slice,
  *    except where a function documents two's-complement semantics.
@@ -100,6 +109,24 @@ uint64_t macScratch(Array &arr, const VecSlice &a, const VecSlice &b,
 uint64_t reduceSum(Array &arr, const VecSlice &acc, unsigned w0,
                    unsigned lanes, const VecSlice &scratch,
                    const AluConfig &cfg = {});
+
+/**
+ * The micro-op expansions of the macro-ops that have a fused pass:
+ * what multiply, macScratch and reduceSum run when the array declines
+ * the pass, issued op by op on any array. They are the oracle the
+ * passes are tested against, and benches time them side by side.
+ */
+namespace microops
+{
+uint64_t multiply(Array &arr, const VecSlice &a, const VecSlice &b,
+                  const VecSlice &prod);
+uint64_t macScratch(Array &arr, const VecSlice &a, const VecSlice &b,
+                    const VecSlice &acc, const VecSlice &scratch,
+                    unsigned zero_row);
+uint64_t reduceSum(Array &arr, const VecSlice &acc, unsigned w0,
+                   unsigned lanes, const VecSlice &scratch,
+                   const AluConfig &cfg = {});
+} // namespace microops
 
 /** a <= max(a, b) lane-wise, unsigned. scratch: a.bits rows. */
 uint64_t maxInto(Array &arr, const VecSlice &a, const VecSlice &b,

@@ -5,7 +5,11 @@
  * The intra-slice address bus carries one compute instruction to
  * every bank; a small per-bank FSM (204 um^2) expands it into word
  * line / sense / write-back control sequences. runProgram() models
- * that FSM on one array, and it is the only way conv windows, eltwise
+ * that FSM on one array. The expansion of a multiply, MAC or sum
+ * reduction may run as one fused pass over the array's words
+ * (bitserial/alu.hh) — same rows, latches and cycle charge as the
+ * micro-op sequence; the instruction stream and the cycle check
+ * below are unchanged. runProgram() is the only way conv windows, eltwise
  * merges and max-pool folds touch an array: the functional kernels
  * run the very streams the static verifier (program_verify.hh)
  * proves. A conv pass hands it a group array whose members are the
@@ -18,7 +22,10 @@
  * naming the opcode and instruction index. Together with the
  * compile-time proof that the static sum equals the CostModel's
  * charge, that pins the functional cycle counters to the analytic
- * model.
+ * model. A fused pass charges from the same formulas the static
+ * model prices, so this check cannot catch one that miscounts: the
+ * differential suite (tests/bitserial/test_fused_passes.cc) ties
+ * each pass's charge to the micro-op count.
  */
 
 #ifndef NC_CORE_CONTROLLER_HH

@@ -64,6 +64,12 @@ SocketClient::send(const wire::RequestFrame &req)
 {
     std::vector<uint8_t> bytes;
     wire::encodeRequest(req, bytes);
+    sendBytes(bytes);
+}
+
+void
+SocketClient::sendBytes(std::span<const uint8_t> bytes)
+{
     size_t off = 0;
     while (off < bytes.size()) {
         ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,8 @@ class SocketClient
 
     /** Encode and write one request (blocking until accepted). */
     void send(const wire::RequestFrame &req);
+    /** Write raw frame bytes (malformed-stream tests). */
+    void sendBytes(std::span<const uint8_t> bytes);
     /** Next response frame; nullopt on timeout or a dead/corrupt
      * stream (streamError() explains which). */
     std::optional<wire::ResponseFrame>

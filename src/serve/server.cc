@@ -36,17 +36,14 @@ class Session : public std::enable_shared_from_this<Session>
     using Deliver = std::function<void(std::vector<uint8_t>)>;
 
     Session(InferenceServer &srv_, Deliver deliver_)
-        : srv(srv_), deliver(std::move(deliver_))
+        : srv(srv_), deliver(std::move(deliver_)),
+          reader(srv_.maxRequestBytes)
     {
     }
 
-    void
-    onBytes(std::span<const uint8_t> bytes)
-    {
-        reader.feed(bytes);
-        while (auto payload = reader.next())
-            srv.dispatch(*this, std::move(*payload));
-    }
+    /** Frames and dispatches @p bytes; a poisoned stream (counted
+     * once as a protocol error) ignores everything after. */
+    void onBytes(std::span<const uint8_t> bytes);
 
     bool poisoned() const { return !reader.error().empty(); }
     const std::string &streamError() const { return reader.error(); }
@@ -104,6 +101,18 @@ struct InferenceServer::StatCells
     std::atomic<uint64_t> droppedResponses{0};
 };
 
+void
+detail::Session::onBytes(std::span<const uint8_t> bytes)
+{
+    if (poisoned())
+        return;
+    reader.feed(bytes);
+    while (auto payload = reader.next())
+        srv.dispatch(*this, std::move(*payload));
+    if (poisoned())
+        ++srv.stat->protocolErrors;
+}
+
 /** One accepted TCP connection. The poll loop owns fd and reads;
  * deliveries append to the write buffer under mtx. */
 struct InferenceServer::Connection
@@ -156,9 +165,27 @@ setNonBlocking(int fd)
 
 } // namespace
 
+namespace
+{
+
+/** Payload bytes of a request carrying @p model's input tensor. */
+uint32_t
+requestBytesFor(const core::CompiledModel &model)
+{
+    wire::RequestFrame probe;
+    probe.input = dnn::QTensor(model.inputChannels(), model.inputHeight(),
+                               model.inputWidth());
+    std::vector<uint8_t> bytes;
+    wire::encodeRequest(probe, bytes);
+    return static_cast<uint32_t>(bytes.size() - 4); // minus the prefix
+}
+
+} // namespace
+
 InferenceServer::InferenceServer(core::CompiledModel &model,
                                  ServerOptions opts_)
     : opts(opts_), batch(model, opts_.batcher),
+      maxRequestBytes(requestBytesFor(model)),
       stat(std::make_unique<StatCells>())
 {
 }
@@ -367,7 +394,6 @@ InferenceServer::readConn(const std::shared_ptr<Connection> &conn)
         if (n > 0) {
             conn->session->onBytes({buf, static_cast<size_t>(n)});
             if (conn->session->poisoned()) {
-                ++stat->protocolErrors;
                 nc_warn("serve: dropping connection: %s",
                         conn->session->streamError().c_str());
                 closeConn(conn);

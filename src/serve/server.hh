@@ -9,7 +9,10 @@
  *  - **Sockets** (start()): a poll(2) event loop on non-blocking
  *    TCP sockets bound to 127.0.0.1. Connections are accepted
  *    non-blocking, partial reads accumulate in a per-connection
- *    FrameReader, decoded requests go to the batcher, and
+ *    FrameReader whose ceiling is the encoded size of a request for
+ *    the served model (a longer length prefix is a protocol error
+ *    that drops the connection, on either transport), decoded
+ *    requests go to the batcher, and
  *    completions append encoded responses to the connection's write
  *    buffer — a self-pipe wakes the poll loop, which flushes under
  *    POLLOUT. Responses for a connection that closed mid-request are
@@ -149,6 +152,13 @@ class InferenceServer
 
     ServerOptions opts;
     DynamicBatcher batch;
+    /**
+     * Every session's frame ceiling: the encoded size of a request
+     * for the served model, so no connection can make the server
+     * buffer more than one request's bytes (plus one read) — a
+     * longer length prefix drops the connection.
+     */
+    uint32_t maxRequestBytes;
     uint16_t boundPort = 0;
     std::unique_ptr<SocketState> sock; ///< null until start()
 

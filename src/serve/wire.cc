@@ -365,10 +365,10 @@ FrameReader::next()
     uint32_t len = 0;
     for (unsigned i = 0; i < 4; ++i)
         len |= static_cast<uint32_t>(buf[pos + i]) << (8 * i);
-    if (len > kMaxFrameBytes) {
+    if (len > ceil) {
         err = detail::format("frame length %u exceeds the %u-byte "
                              "ceiling — stream desynchronized",
-                             len, kMaxFrameBytes);
+                             len, ceil);
         return std::nullopt;
     }
     if (buf.size() - pos - 4 < len)

@@ -109,13 +109,21 @@ bool decodeResponse(std::span<const uint8_t> payload,
 /**
  * Incremental length-prefix splitter for a byte stream: feed() bytes
  * as they arrive (partial frames welcome), next() hands back one
- * complete payload at a time. A length prefix over kMaxFrameBytes
- * poisons the reader (error() non-empty, next() forever empty) — the
- * stream is desynchronized and the connection must be dropped.
+ * complete payload at a time. A length prefix over the reader's
+ * ceiling poisons it (error() non-empty, next() forever empty) — the
+ * stream is desynchronized and the connection must be dropped. The
+ * ceiling bounds what one connection can make the reader buffer:
+ * kMaxFrameBytes by default, and a server passes the size of a
+ * request for its model.
  */
 class FrameReader
 {
   public:
+    explicit FrameReader(uint32_t max_frame = kMaxFrameBytes)
+        : ceil(max_frame)
+    {
+    }
+
     void feed(std::span<const uint8_t> bytes);
     /** One complete frame payload, or nullopt if none is buffered. */
     std::optional<std::vector<uint8_t>> next();
@@ -125,6 +133,7 @@ class FrameReader
     size_t pending() const { return buf.size() - pos; }
 
   private:
+    uint32_t ceil;
     std::vector<uint8_t> buf;
     size_t pos = 0;
     std::string err;

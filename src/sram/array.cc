@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "sram/faults.hh"
 #include "sram/kernels.hh"
@@ -628,6 +629,127 @@ Array::opLaneShift(unsigned src, unsigned dst, unsigned shift,
             to[i++] &= kmask;
         std::fill(to + i, to + m + wpm, uint64_t(0));
     }
+}
+
+namespace
+{
+
+/** Whether bands [a, a + na) and [b, b + nb) share a row. */
+bool
+overlap(unsigned a, unsigned na, unsigned b, unsigned nb)
+{
+    return na != 0 && nb != 0 && uint64_t(a) < uint64_t(b) + nb &&
+           uint64_t(b) < uint64_t(a) + na;
+}
+
+} // namespace
+
+void
+Array::bandWords(unsigned base, unsigned bits, uint64_t **out)
+{
+    nc_dassert(uint64_t(base) + bits <= nrows, "rows [%u,+%u) out of %u",
+               base, bits, nrows);
+    for (unsigned j = 0; j < bits; ++j)
+        out[j] = cells[base + j].wordData();
+}
+
+bool
+Array::fusedMultiply(unsigned a, unsigned abits, unsigned b,
+                     unsigned bbits, unsigned prod, uint64_t cycles)
+{
+    const unsigned pbits = abits + bbits;
+    if (refMode || flt || abits == 0 || bbits == 0 ||
+        pbits > kern::kMaxPassRows || overlap(prod, pbits, a, abits) ||
+        overlap(prod, pbits, b, bbits))
+        return false;
+    checkOwner();
+    uint64_t *ap[kern::kMaxPassRows], *bp[kern::kMaxPassRows],
+        *pp[kern::kMaxPassRows];
+    bandWords(a, abits, ap);
+    bandWords(b, bbits, bp);
+    bandWords(prod, pbits, pp);
+    kern::active().multiply({.a = ap,
+                             .b = bp,
+                             .prod = pp,
+                             .acc = nullptr,
+                             .zero = nullptr,
+                             .carry = carryLatch.wordData(),
+                             .tag = tagLatch.wordData(),
+                             .abits = abits,
+                             .bbits = bbits,
+                             .accBits = 0},
+                            nwords);
+    nComputeCycles += cycles;
+    return true;
+}
+
+bool
+Array::fusedMac(unsigned a, unsigned abits, unsigned b, unsigned bbits,
+                unsigned acc, unsigned acc_bits, unsigned scratch,
+                unsigned zero_row, uint64_t cycles)
+{
+    const unsigned pbits = abits + bbits;
+    // Accumulator rows above the product add the zero row.
+    const bool pads = acc_bits > pbits;
+    // A written band (product, accumulator) overlapping another, or
+    // a zero row inside one, is a sequence whose order the micro-ops
+    // define (or that they reject): decline it. Operands may overlap
+    // acc, since the pass reads them before it writes acc.
+    if (refMode || flt || abits == 0 || bbits == 0 ||
+        pbits > kern::kMaxPassRows || acc_bits > kern::kMaxPassRows ||
+        acc_bits < pbits || overlap(scratch, pbits, a, abits) ||
+        overlap(scratch, pbits, b, bbits) ||
+        overlap(scratch, pbits, acc, acc_bits) ||
+        (pads && (zero_row >= nrows ||
+                  overlap(zero_row, 1, scratch, pbits) ||
+                  overlap(zero_row, 1, acc, acc_bits))))
+        return false;
+    checkOwner();
+    uint64_t *ap[kern::kMaxPassRows], *bp[kern::kMaxPassRows],
+        *pp[kern::kMaxPassRows], *accp[kern::kMaxPassRows];
+    bandWords(a, abits, ap);
+    bandWords(b, bbits, bp);
+    bandWords(scratch, pbits, pp);
+    bandWords(acc, acc_bits, accp);
+    kern::active().mac({.a = ap,
+                        .b = bp,
+                        .prod = pp,
+                        .acc = accp,
+                        .zero = pads ? cells[zero_row].wordData() : nullptr,
+                        .carry = carryLatch.wordData(),
+                        .tag = tagLatch.wordData(),
+                        .abits = abits,
+                        .bbits = bbits,
+                        .accBits = acc_bits},
+                       nwords);
+    nComputeCycles += cycles;
+    return true;
+}
+
+bool
+Array::fusedReduceSum(unsigned acc, unsigned w0, unsigned lanes,
+                      unsigned scratch, uint64_t cycles)
+{
+    if (refMode || flt || lanes < 2 || !isPow2(lanes))
+        return false;
+    const unsigned rows = w0 + log2Ceil(lanes);
+    if (rows > kern::kMaxPassRows ||
+        overlap(acc, rows, scratch, rows - 1))
+        return false;
+    checkOwner();
+    uint64_t *accp[kern::kMaxPassRows], *sp[kern::kMaxPassRows];
+    bandWords(acc, rows, accp);
+    bandWords(scratch, rows - 1, sp);
+    if (!kern::active().reduceSum({.acc = accp,
+                                   .scratch = sp,
+                                   .carry = carryLatch.wordData(),
+                                   .w0 = w0,
+                                   .lanes = lanes,
+                                   .memberWords = (size_t(mcols) + 63) / 64},
+                                  nwords))
+        return false;
+    nComputeCycles += cycles;
+    return true;
 }
 
 void

@@ -32,6 +32,14 @@
  * baseline run it to pin the fast kernels at every tier (state,
  * latches, and cycle counts must match exactly).
  *
+ * Which path runs: an op*() call runs the fused kernel of the active
+ * SIMD tier, or the bit-by-bit body in reference mode; an array with
+ * a fault record takes each op's slow body so the record sees every
+ * touched row. The fused*() macro-op passes below run only where
+ * neither applies; otherwise they decline and bitserial's ALU issues
+ * the micro-ops one by one, so reference mode and fault campaigns
+ * see exactly the per-op sequence.
+ *
  * Member width: an array may be built as a group of equal members side
  * by side, member j holding lanes [j * memberCols(), (j + 1) *
  * memberCols()). Every micro-op is lane-wise except opLaneShift, which
@@ -189,6 +197,41 @@ class Array
                      unsigned cycles = 2);
     /// @}
 
+    /** @name Fused macro-op passes
+     * Each computes one whole bitserial macro-op — the §IV-F FSM's
+     * expansion of one instruction — in one sweep over its bands'
+     * words (sram/kernels.hh), leaving every row, both latches and
+     * the compute cycle counter (charged @p cycles) exactly as the
+     * micro-op sequence does. Bands are given as base row and width.
+     * A pass runs only on an ideal array in fast mode: on a
+     * reference-mode array, an array with a fault record, or a shape
+     * it does not take (a band wider than kern::kMaxPassRows, a
+     * written band overlapping another operand, a reduction over
+     * members wider than 4096 lanes), it returns false, touching and
+     * charging nothing, and the caller issues the micro-ops
+     * (bitserial/alu.cc), which keep every per-touch hook.
+     */
+    /// @{
+    /** prod[abits + bbits] <= a * b (bitserial::multiply). */
+    bool fusedMultiply(unsigned a, unsigned abits, unsigned b,
+                       unsigned bbits, unsigned prod, uint64_t cycles);
+    /**
+     * acc[acc_bits] += a * b through scratch[abits + bbits], rows of
+     * acc above the product padded with @p zero_row as stored
+     * (bitserial::macScratch).
+     */
+    bool fusedMac(unsigned a, unsigned abits, unsigned b, unsigned bbits,
+                  unsigned acc, unsigned acc_bits, unsigned scratch,
+                  unsigned zero_row, uint64_t cycles);
+    /**
+     * Lane-tree sum of @p lanes (a power of two >= 2) w0-bit elements
+     * at @p acc, log2(lanes) - 1 + w0 rows of @p scratch
+     * (bitserial::reduceSum).
+     */
+    bool fusedReduceSum(unsigned acc, unsigned w0, unsigned lanes,
+                        unsigned scratch, uint64_t cycles);
+    /// @}
+
     /**
      * Preset the carry latch in every lane. Free of cycle cost: the
      * preset travels with the control word of the next issued op.
@@ -310,6 +353,9 @@ class Array
 
     /** dst latch <= src (row or latch), optionally inverted. */
     static void loadLatch(BitRow &dst, const BitRow &src, bool invert);
+
+    /** Word pointers of rows [base, base + bits) (bounds: debug). */
+    void bandWords(unsigned base, unsigned bits, uint64_t **out);
 
     void checkRow(unsigned r) const;
     /**

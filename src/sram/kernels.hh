@@ -25,6 +25,19 @@
  * counts — against Array's bit-by-bit reference mode by the
  * differential suites (tests/sram/test_array_kernels.cc forces every
  * available tier in turn).
+ *
+ * Fused passes. Three macro-ops — bitserial::multiply, macScratch and
+ * reduceSum — also have a pass each that computes the whole macro-op
+ * in one sweep over its rows' words, carry and tag latches held in
+ * registers, leaving every row and latch exactly as the ALU's
+ * micro-op expansion does. Array::fusedMultiply/fusedMac/
+ * fusedReduceSum run them on an ideal array in fast mode; a
+ * reference-mode or faulted array, or a shape a pass does not take,
+ * runs the micro-ops through the entries above instead. Each pass
+ * beats its micro-ops at every tier (bench/micro_simspeed), so no
+ * tier declines a shape for speed.
+ * tests/bitserial/test_fused_passes.cc pins each pass against the
+ * micro-ops of a reference-mode copy at every tier.
  */
 
 #ifndef NC_SRAM_KERNELS_HH
@@ -56,6 +69,36 @@ enum class TagFold
     And,    ///< tag &= row
     AndInv, ///< tag &= ~row
     Or,     ///< tag |= row
+};
+
+/** Widest band (rows) a fused pass takes; wider ones decline. */
+constexpr unsigned kMaxPassRows = 64;
+
+/**
+ * The rows of one fused shift-and-add pass: bitserial::multiply (acc
+ * unused) or macScratch (prod is its scratch band). Each band is a
+ * list of row word pointers, LSB first.
+ */
+struct MulRows
+{
+    const uint64_t *const *a; ///< multiplicand, abits rows
+    const uint64_t *const *b; ///< multiplier, bbits rows
+    uint64_t *const *prod;    ///< product, abits + bbits rows
+    uint64_t *const *acc;     ///< accumulator, accBits rows (Mac)
+    const uint64_t *zero;     ///< zero row, read as stored (Mac)
+    uint64_t *carry;
+    uint64_t *tag;
+    unsigned abits, bbits, accBits;
+};
+
+/** The rows of one fused lane-tree reduction (bitserial::reduceSum). */
+struct ReduceRows
+{
+    uint64_t *const *acc;     ///< w0 + log2(lanes) rows
+    uint64_t *const *scratch; ///< w0 + log2(lanes) - 1 rows
+    uint64_t *carry;
+    unsigned w0, lanes;       ///< lanes: a power of two >= 2
+    size_t memberWords;       ///< words per member (lane shifts stop there)
 };
 
 /**
@@ -126,6 +169,16 @@ struct Table
     void (*packPlanes)(const uint64_t *vals, size_t nvals,
                        unsigned bits, uint64_t *planes,
                        size_t nblocks);
+    /**
+     * Fused passes over rows of @p nw words: the whole macro-op,
+     * every row and latch it writes, in every lane. reduceSum
+     * returns false, touching nothing, for members wider than its
+     * word loop holds (4096 lanes); the caller then runs the
+     * micro-ops.
+     */
+    void (*multiply)(const MulRows &r, size_t nw);
+    void (*mac)(const MulRows &r, size_t nw);
+    bool (*reduceSum)(const ReduceRows &r, size_t nw);
 };
 
 /** @name Per-tier tables (internal linkage points)

@@ -25,6 +25,7 @@
 #ifndef NC_SRAM_KERNELS_IMPL_HH
 #define NC_SRAM_KERNELS_IMPL_HH
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -76,6 +77,9 @@ struct ScalarB
     static V not_(V a) { return ~a; }
     static V shr(V v, unsigned n) { return v >> n; }
     static V shl(V v, unsigned n) { return v << n; }
+    /** Shifts by a count held in a register (every word the same). */
+    static V shrv(V v, V n) { return v >> n; }
+    static V shlv(V v, V n) { return v << n; }
     /** a ^ b ^ c — the full-adder sum. */
     static V sum3(V a, V b, V c) { return a ^ b ^ c; }
     /** majority(a, b, c) — the full-adder carry-out. */
@@ -84,6 +88,15 @@ struct ScalarB
     static V blend(V t, V v, V d) { return (v & t) | (d & ~t); }
     /** Chunk mask whose highest word is the row's tail mask. */
     static V lastMask(uint64_t tm) { return tm; }
+
+    /**
+     * Word permutation with zeroing: word k of permute(v, p) takes
+     * word src[k] of v, or 0 where src[k] < 0 (makePerm's source
+     * list has W entries).
+     */
+    using Perm = bool;
+    static Perm makePerm(const int *src) { return src[0] >= 0; }
+    static V permute(V v, Perm p) { return p ? v : 0; }
 
     /** Bit b of each of 64 packed bytes, as one plane word. */
     static uint64_t
@@ -137,6 +150,8 @@ struct Avx2B
     {
         return _mm256_sll_epi64(v, _mm_cvtsi32_si128(int(n)));
     }
+    static V shrv(V v, V n) { return _mm256_srlv_epi64(v, n); }
+    static V shlv(V v, V n) { return _mm256_sllv_epi64(v, n); }
 #if defined(__AVX512VL__)
     // With AVX-512VL each 3-input boolean collapses to one VPTERNLOGQ
     // (imm = truth table over A:0xF0 B:0xCC C:0xAA), shortening the
@@ -170,6 +185,33 @@ struct Avx2B
     {
         return _mm256_set_epi64x(static_cast<long long>(tm), -1, -1,
                                  -1);
+    }
+
+    struct Perm
+    {
+        V idx;  ///< dword indices (VPERMD has no qword form)
+        V keep; ///< all-ones words where src[k] >= 0
+    };
+    static Perm
+    makePerm(const int *src)
+    {
+        int32_t idx[8];
+        int64_t keep[4];
+        for (unsigned k = 0; k < 4; ++k) {
+            const int32_t w = src[k] < 0 ? 0 : src[k];
+            idx[2 * k] = 2 * w;
+            idx[2 * k + 1] = 2 * w + 1;
+            keep[k] = src[k] < 0 ? 0 : -1;
+        }
+        Perm p;
+        std::memcpy(&p.idx, idx, sizeof idx);
+        std::memcpy(&p.keep, keep, sizeof keep);
+        return p;
+    }
+    static V
+    permute(V v, const Perm &p)
+    {
+        return and_(_mm256_permutevar8x32_epi32(v, p.idx), p.keep);
     }
 
     static uint64_t
@@ -234,6 +276,8 @@ struct Avx512B
     {
         return _mm512_sll_epi64(v, _mm_cvtsi32_si128(int(n)));
     }
+    static V shrv(V v, V n) { return _mm512_srlv_epi64(v, n); }
+    static V shlv(V v, V n) { return _mm512_sllv_epi64(v, n); }
     static V
     sum3(V a, V b, V c)
     {
@@ -254,6 +298,31 @@ struct Avx512B
     {
         return _mm512_set_epi64(static_cast<long long>(tm), -1, -1,
                                 -1, -1, -1, -1, -1);
+    }
+
+    struct Perm
+    {
+        V idx;
+        __mmask8 keep; ///< words the masked permute does not zero
+    };
+    static Perm
+    makePerm(const int *src)
+    {
+        int64_t idx[8];
+        unsigned keep = 0;
+        for (unsigned k = 0; k < 8; ++k) {
+            idx[k] = src[k] < 0 ? 0 : src[k];
+            keep |= src[k] < 0 ? 0u : 1u << k;
+        }
+        Perm p;
+        std::memcpy(&p.idx, idx, sizeof idx);
+        p.keep = static_cast<__mmask8>(keep);
+        return p;
+    }
+    static V
+    permute(V v, const Perm &p)
+    {
+        return _mm512_maskz_permutexvar_epi64(p.keep, p.idx, v);
     }
 
     static uint64_t
@@ -596,6 +665,251 @@ packPlanesPass(const uint64_t *vals, size_t nvals, unsigned bits,
     }
 }
 
+/** @name Fused macro-op passes
+ *
+ * Each pass runs a whole bitserial macro-op one chunk of B::W words
+ * at a time: it loads the chunk's operand words once, replays every
+ * micro-op of the ALU's expansion on registers (carry and tag
+ * latches included) and stores each row the expansion writes once.
+ * Lanes interact only through the reduction's in-member shift, and
+ * a chunk holds whole members, so chunk order is free. No operation
+ * used here turns an all-zero lane into a one, so the zero tail of
+ * the inputs carries to every output without masking.
+ */
+/// @{
+
+/**
+ * bitserial::multiply (acc untouched) or macScratch (MAC) on words
+ * [i, nw). M, N, ACC fix the widths at compile time; 0 reads them
+ * from @p x.
+ */
+template <class B, unsigned M, unsigned N, unsigned ACC, bool MAC>
+void
+mulPass(const MulRows &x, size_t i, size_t nw)
+{
+    using V = typename B::V;
+    const unsigned m = M ? M : x.abits;
+    const unsigned n = N ? N : x.bbits;
+    const unsigned w = ACC ? ACC : x.accBits;
+    const V zero = B::splat(0);
+    for (; i + B::W <= nw; i += B::W) {
+        V av[M ? M : kMaxPassRows];
+        for (unsigned j = 0; j < m; ++j)
+            av[j] = B::load(x.a[j] + i);
+        // The §III walk: prod <= 0; per multiplier bit, tag <= b[bi],
+        // carry <= 0, m predicated full adds of a into prod[bi..]
+        // (the carry updates in every lane, tagged or not), then the
+        // carry lands in prod[bi + m], still 0, where the tag is set.
+        V p[M && N ? M + N : kMaxPassRows];
+        for (unsigned k = 0; k < m + n; ++k)
+            p[k] = zero;
+        V c = zero;
+        V t = zero;
+        for (unsigned bi = 0; bi < n; ++bi) {
+            t = B::load(x.b[bi] + i);
+            c = zero;
+            for (unsigned j = 0; j < m; ++j) {
+                const V pj = p[bi + j];
+                p[bi + j] = B::blend(t, B::sum3(av[j], pj, c), pj);
+                c = B::maj3(av[j], pj, c);
+            }
+            p[bi + m] = B::and_(t, c);
+        }
+        for (unsigned k = 0; k < m + n; ++k)
+            B::store(x.prod[k] + i, p[k]);
+        if constexpr (MAC) {
+            // acc <= prod + acc: unpredicated, carry from 0, the rows
+            // above the product padded with the zero row as stored.
+            const V z = w > m + n ? B::load(x.zero + i) : zero;
+            c = zero;
+            for (unsigned j = 0; j < w; ++j) {
+                const V u = j < m + n ? p[j] : z;
+                const V v = B::load(x.acc[j] + i);
+                B::store(x.acc[j] + i, B::sum3(u, v, c));
+                c = B::maj3(u, v, c);
+            }
+        }
+        B::store(x.carry + i, c);
+        B::store(x.tag + i, t);
+    }
+    if constexpr (!std::is_same_v<typename B::Narrower, void>) {
+        if (i < nw)
+            mulPass<typename B::Narrower, M, N, ACC, MAC>(x, i, nw);
+    }
+}
+
+/**
+ * opLaneShift on one register of whole m-word members: lane l takes
+ * lane l + shift when both lie in one member, else 0. Word k is a
+ * funnel shift of member words k + q and k + q + 1 (q = shift / 64),
+ * each permuted into place with words past the member zeroed.
+ */
+template <class B>
+struct LaneShift
+{
+    typename B::Perm lo, hi;
+    typename B::V r, rh; ///< lo >> r | hi << rh, counts splatted
+    bool loInPlace = false; ///< lo is v itself (shift < 64)
+
+    LaneShift() = default;
+    LaneShift(unsigned shift, size_t m)
+    {
+        const size_t q = shift / 64;
+        const unsigned rs = shift % 64;
+        int los[B::W], his[B::W];
+        for (size_t k = 0; k < B::W; ++k) {
+            const size_t in = k % m, base = k - in;
+            los[k] = in + q < m ? static_cast<int>(base + in + q) : -1;
+            his[k] = rs && in + q + 1 < m
+                         ? static_cast<int>(base + in + q + 1)
+                         : -1; // hi is all zero when rs == 0
+        }
+        lo = B::makePerm(los);
+        hi = B::makePerm(his);
+        loInPlace = q == 0;
+        r = B::splat(rs);
+        rh = B::splat(rs ? 64 - rs : 0);
+    }
+
+    typename B::V
+    operator()(typename B::V v) const
+    {
+        const typename B::V l = loInPlace ? v : B::permute(v, lo);
+        return B::or_(B::shrv(l, r), B::shlv(B::permute(v, hi), rh));
+    }
+};
+
+/** Member width (words) up to which the word loop keeps its carry. */
+constexpr size_t kMaxMemberWords = 64;
+
+/**
+ * One step of the word loop on the member at word @p i: rows [0, w)
+ * each take their in-member shifted copy (word k from words k + q
+ * and k + q + 1, in three branch-free runs) added in, carry in @p c.
+ * M and SHIFT fix the member width and shift (0: read at runtime).
+ */
+template <size_t M, unsigned SHIFT>
+inline void
+reduceStepWords(const ReduceRows &x, size_t i, unsigned w,
+                unsigned shift_rt, uint64_t *c)
+{
+    const size_t m = M ? M : x.memberWords;
+    const unsigned shift = SHIFT ? SHIFT : shift_rt;
+    const size_t q = shift / 64;
+    const unsigned r = shift % 64;
+    // Words [0, both) read two source words, [both, one) the low one
+    // only, [one, m) none.
+    const size_t one = q < m ? m - q : 0;
+    const size_t both = r && one > 0 ? one - 1 : 0;
+    uint64_t s[M ? M : kMaxMemberWords];
+    std::fill_n(c, m, uint64_t(0));
+    for (unsigned j = 0; j < w; ++j) {
+        uint64_t *row = x.acc[j] + i;
+        for (size_t k = 0; k < both; ++k)
+            s[k] = (row[k + q] >> r) | (row[k + q + 1] << ((64 - r) & 63));
+        for (size_t k = both; k < one; ++k)
+            s[k] = row[k + q] >> r;
+        std::fill(s + one, s + m, uint64_t(0));
+        if (shift == 1) // the last step's shifted rows stay in scratch
+            std::copy_n(s, m, x.scratch[j] + i);
+        for (size_t k = 0; k < m; ++k) {
+            const uint64_t a = row[k];
+            row[k] = a ^ s[k] ^ c[k];
+            c[k] = (a & s[k]) | ((a ^ s[k]) & c[k]);
+        }
+    }
+    std::copy_n(c, m, x.acc[w] + i);
+}
+
+/**
+ * bitserial::reduceSum one member at a time, word by word, in place
+ * on words [i, nw): the remainder of the register path, and every
+ * member width no register holds whole. 256-lane members, the conv
+ * geometry, run at fixed width and fixed shifts.
+ */
+template <size_t M>
+void
+reduceWords(const ReduceRows &x, size_t i, size_t nw)
+{
+    const size_t m = M ? M : x.memberWords;
+    uint64_t c[M ? M : kMaxMemberWords];
+    for (; i < nw; i += m) {
+        unsigned w = x.w0;
+        for (unsigned shift = x.lanes / 2; shift >= 1; shift /= 2, ++w) {
+            if constexpr (M == 4) {
+                switch (shift) {
+                  case 1: reduceStepWords<4, 1>(x, i, w, 0, c); continue;
+                  case 2: reduceStepWords<4, 2>(x, i, w, 0, c); continue;
+                  case 4: reduceStepWords<4, 4>(x, i, w, 0, c); continue;
+                  case 8: reduceStepWords<4, 8>(x, i, w, 0, c); continue;
+                  case 16: reduceStepWords<4, 16>(x, i, w, 0, c); continue;
+                  case 32: reduceStepWords<4, 32>(x, i, w, 0, c); continue;
+                  case 64: reduceStepWords<4, 64>(x, i, w, 0, c); continue;
+                  case 128: reduceStepWords<4, 128>(x, i, w, 0, c); continue;
+                }
+            }
+            reduceStepWords<M, 0>(x, i, w, shift, c);
+        }
+        std::copy_n(c, m, x.carry + i);
+    }
+}
+
+/**
+ * bitserial::reduceSum on words [i, nw), a register of whole members
+ * per chunk where the member width divides B::W: per step, every
+ * live row is shifted in-member, added to itself with the carry in
+ * a register, and the carry-out becomes the next row. Only the last
+ * step's shifted rows stay in scratch, since every earlier step
+ * writes a subset of its rows.
+ */
+template <class B>
+void
+reducePass(const ReduceRows &x, size_t i, size_t nw)
+{
+    using V = typename B::V;
+    const size_t m = x.memberWords;
+    if (B::W % m == 0 && i + B::W <= nw) {
+        LaneShift<B> sh[32];
+        unsigned steps = 0;
+        for (unsigned shift = x.lanes / 2; shift >= 1; shift /= 2)
+            sh[steps++] = LaneShift<B>(shift, m);
+        const V zero = B::splat(0);
+        for (; i + B::W <= nw; i += B::W) {
+            V r[kMaxPassRows];
+            for (unsigned j = 0; j < x.w0; ++j)
+                r[j] = B::load(x.acc[j] + i);
+            unsigned w = x.w0;
+            V c = zero;
+            for (unsigned st = 0; st < steps; ++st) {
+                const bool last = st + 1 == steps;
+                const LaneShift<B> shift = sh[st];
+                c = zero;
+                for (unsigned j = 0; j < w; ++j) {
+                    const V a = r[j];
+                    const V s = shift(a);
+                    if (last)
+                        B::store(x.scratch[j] + i, s);
+                    r[j] = B::sum3(a, s, c);
+                    c = B::maj3(a, s, c);
+                }
+                r[w++] = c;
+            }
+            for (unsigned j = 0; j < w; ++j)
+                B::store(x.acc[j] + i, r[j]);
+            B::store(x.carry + i, c);
+        }
+    }
+    if (i < nw) {
+        if constexpr (!std::is_same_v<typename B::Narrower, void>)
+            reducePass<typename B::Narrower>(x, i, nw);
+        else if (x.memberWords == 4) // 256-lane members, fixed width
+            reduceWords<4>(x, i, nw);
+        else
+            reduceWords<0>(x, i, nw);
+    }
+}
+/// @}
+
 /** @name Table wrappers (the function-pointer shapes)
  *
  * Unpredicated and predicated forms are separate entry points: the
@@ -843,6 +1157,36 @@ loadLatchW(uint64_t *d, const uint64_t *s, size_t nw, uint64_t tm,
     else
         loadLatchPass<B, false>(d, s, nw, tm);
 }
+
+template <class B>
+void
+multiplyW(const MulRows &x, size_t nw)
+{
+    mulPass<B, 0, 0, 0, false>(x, 0, nw);
+}
+
+template <class B>
+void
+macW(const MulRows &x, size_t nw)
+{
+    // The conv window's MAC (8 x 8 into 24 bits) at fixed widths, so
+    // the product stays in registers; any other shape at runtime
+    // widths.
+    if (x.abits == 8 && x.bbits == 8 && x.accBits == 24)
+        mulPass<B, 8, 8, 24, true>(x, 0, nw);
+    else
+        mulPass<B, 0, 0, 0, true>(x, 0, nw);
+}
+
+template <class B>
+bool
+reduceSumW(const ReduceRows &x, size_t nw)
+{
+    if (x.memberWords > kMaxMemberWords)
+        return false;
+    reducePass<B>(x, 0, nw);
+    return true;
+}
 /// @}
 
 /** Assemble one tier's dispatch table from the B instantiations. */
@@ -867,6 +1211,9 @@ makeTable(common::simd::Tier tier)
     t.loadLatch = &loadLatchW<B>;
     t.transposeBlocks = &transposeBlocksPass<B>;
     t.packPlanes = &packPlanesPass<B>;
+    t.multiply = &multiplyW<B>;
+    t.mac = &macW<B>;
+    t.reduceSum = &reduceSumW<B>;
     return t;
 }
 

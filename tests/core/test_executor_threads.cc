@@ -98,11 +98,29 @@ struct GroupCase
  */
 constexpr unsigned kStuckRow = 165;
 
+/** One layer per way a pass is cut: plain, split, packed, two
+ * channel chunks, streaming, streaming with two chunks. */
+const std::vector<GroupCase> &
+lockstepShapes()
+{
+    static const std::vector<GroupCase> shapes = {
+        {"plain", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0},
+        {"split", 8, 6, 6, 5, 5, 5, 1, 3, 1, 0},
+        {"packed", 300, 4, 4, 4, 1, 1, 16, 1, 1, 0},
+        {"two-chunk", 300, 4, 4, 3, 3, 3, 1, 1, 2, 0},
+        {"streaming", 8, 6, 6, 7, 3, 3, 1, 1, 1, 3},
+        {"streaming-two-chunk", 300, 3, 3, 5, 3, 3, 1, 1, 2, 4},
+    };
+    return shapes;
+}
+
 /** Run @p gc on a fresh cache with @p threads workers; return the
- * output and the state of every band array. */
+ * output and the state of every band array. With @p reference, every
+ * band array runs in reference mode: each on its own, every macro-op
+ * expanded into micro-ops. */
 std::pair<std::vector<uint32_t>, std::vector<ArrayState>>
 runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
-             unsigned threads)
+             unsigned threads, bool reference = false)
 {
     cache::ComputeCache cc;
     if (gc.faultyArray >= 0) {
@@ -126,6 +144,9 @@ runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
     EXPECT_EQ(layer.plan().splitFactor, gc.split);
     EXPECT_EQ(layer.plan().chunks, gc.chunks);
     EXPECT_EQ(layer.resident(), gc.band == 0);
+    if (reference)
+        for (uint64_t i = 0; i < layer.bandArrays(); ++i)
+            cc.array(cc.coordOf(i)).setReferenceMode(true);
 
     unsigned oh, ow;
     auto out = layer.run(in, w, oh, ow);
@@ -153,15 +174,8 @@ TEST(ExecutorThreads, ConvArraysIdenticalAcrossLockstepGroups)
     // own. Whatever the cut, every array must end with the same
     // rows, latches and cycle counters — and a group holding a
     // faulted array runs each member on its own array.
-    const std::vector<GroupCase> cases = {
-        {"plain", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0},
-        {"split", 8, 6, 6, 5, 5, 5, 1, 3, 1, 0},
-        {"packed", 300, 4, 4, 4, 1, 1, 16, 1, 1, 0},
-        {"two-chunk", 300, 4, 4, 3, 3, 3, 1, 1, 2, 0},
-        {"streaming", 8, 6, 6, 7, 3, 3, 1, 1, 1, 3},
-        {"streaming-two-chunk", 300, 3, 3, 5, 3, 3, 1, 1, 2, 4},
-        {"faulted", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0, 2},
-    };
+    std::vector<GroupCase> cases = lockstepShapes();
+    cases.push_back({"faulted", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0, 2});
     for (const GroupCase &gc : cases) {
         SCOPED_TRACE(gc.name);
         Rng rng(0x6a0u + gc.c + gc.m);
@@ -177,6 +191,34 @@ TEST(ExecutorThreads, ConvArraysIdenticalAcrossLockstepGroups)
         else
             EXPECT_NE(want_out, golden);
         for (unsigned threads : {2u, 3u, 4u, 8u}) {
+            auto [out, states] = runGroupCase(gc, in, w, threads);
+            EXPECT_EQ(out, want_out) << threads << " threads";
+            ASSERT_EQ(states.size(), want_states.size());
+            for (size_t i = 0; i < states.size(); ++i) {
+                EXPECT_TRUE(states[i] == want_states[i])
+                    << "array " << i << " differs with " << threads
+                    << " threads";
+            }
+        }
+    }
+}
+
+TEST(ExecutorThreads, FusedPassesLeaveArraysAsTheMicroOpsDo)
+{
+    // Lockstep groups run each window's MACs and reduction as fused
+    // passes; reference-mode arrays run alone and issue every
+    // micro-op. Every array must end the same either way.
+    for (const GroupCase &gc : lockstepShapes()) {
+        SCOPED_TRACE(gc.name);
+        Rng rng(0xF5Eu + gc.c + gc.m);
+        QTensor in = randomInput(rng, gc.c, gc.h, gc.w);
+        QWeights w = randomWeights(rng, gc.m, gc.c, gc.r, gc.s);
+
+        auto [want_out, want_states] =
+            runGroupCase(gc, in, w, 4, /*reference=*/true);
+        unsigned oh, ow;
+        EXPECT_EQ(want_out, dnn::convQuantUnsigned(in, w, 1, true, oh, ow));
+        for (unsigned threads : {1u, 4u}) {
             auto [out, states] = runGroupCase(gc, in, w, threads);
             EXPECT_EQ(out, want_out) << threads << " threads";
             ASSERT_EQ(states.size(), want_states.size());

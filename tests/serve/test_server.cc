@@ -138,6 +138,73 @@ TEST_F(ServerTest, OutOfBandPriorityIsBadRequest)
     server.shutdown();
 }
 
+/**
+ * @p req's frame grown by one trailing payload byte: a length prefix
+ * one byte over the encoded size of a request for the served model.
+ */
+std::vector<uint8_t>
+oneByteOver(const serve::wire::RequestFrame &req)
+{
+    std::vector<uint8_t> bytes;
+    serve::wire::encodeRequest(req, bytes);
+    bytes.push_back(0);
+    const uint32_t len = static_cast<uint32_t>(bytes.size() - 4);
+    for (unsigned i = 0; i < 4; ++i)
+        bytes[i] = static_cast<uint8_t>(len >> (8 * i));
+    return bytes;
+}
+
+TEST_F(ServerTest, FrameCeilingIsOneRequestOverLoopback)
+{
+    InferenceServer server(model, {});
+    auto client = server.loopback();
+
+    // A request for the served model is exactly the ceiling.
+    std::vector<uint8_t> exact;
+    serve::wire::encodeRequest(request(1), exact);
+    client.sendBytes(exact);
+    auto ok = client.receive();
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(ok->status, serve::wire::Status::Ok);
+    EXPECT_EQ(server.serverStats().protocolErrors, 0u);
+
+    // One byte more poisons the stream before any payload buffers:
+    // no answer (not even BadRequest), and the session is dropped.
+    client.sendBytes(oneByteOver(request(2)));
+    EXPECT_FALSE(client.receive(300).has_value());
+    EXPECT_EQ(server.serverStats().protocolErrors, 1u);
+    client.send(request(3));
+    EXPECT_FALSE(client.receive(300).has_value())
+        << "a dropped session served a later request";
+    server.shutdown();
+    EXPECT_EQ(server.serverStats().framesIn, 1u);
+    EXPECT_EQ(server.serverStats().protocolErrors, 1u);
+}
+
+TEST_F(ServerTest, FrameCeilingIsOneRequestOverSockets)
+{
+    InferenceServer server(model, {});
+    std::string err;
+    if (!server.start(&err))
+        GTEST_SKIP() << "no TCP in this sandbox: " << err;
+    auto client = serve::SocketClient::connectTo(server.port(), &err);
+    ASSERT_TRUE(client.has_value()) << err;
+
+    std::vector<uint8_t> exact;
+    serve::wire::encodeRequest(request(1), exact);
+    client->sendBytes(exact);
+    auto ok = client->receive();
+    ASSERT_TRUE(ok.has_value()) << client->streamError();
+    EXPECT_EQ(ok->status, serve::wire::Status::Ok);
+
+    client->sendBytes(oneByteOver(request(2)));
+    EXPECT_FALSE(client->receive(5000).has_value())
+        << "the server must close the connection, not answer";
+    server.shutdown();
+    EXPECT_EQ(server.serverStats().framesIn, 1u);
+    EXPECT_EQ(server.serverStats().protocolErrors, 1u);
+}
+
 TEST_F(ServerTest, ShutdownAnswersShuttingDown)
 {
     InferenceServer server(model, {});

@@ -245,6 +245,24 @@ TEST(Wire, FrameReaderSplitsCoalescedFrames)
     EXPECT_TRUE(reader.error().empty());
 }
 
+TEST(Wire, ReaderCeilingIsInclusive)
+{
+    // A payload of exactly the ceiling passes ...
+    wire::FrameReader reader(5);
+    const uint8_t exact[] = {5, 0, 0, 0, 1, 2, 3, 4, 5};
+    reader.feed(exact);
+    auto payload = reader.next();
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(payload->size(), 5u);
+
+    // ... and a prefix one byte over poisons the reader at once,
+    // before any of its payload arrives.
+    const uint8_t over[] = {6, 0, 0, 0};
+    reader.feed(over);
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_FALSE(reader.error().empty());
+}
+
 TEST(Wire, OversizedPrefixPoisonsTheStream)
 {
     wire::FrameReader reader;
