@@ -17,9 +17,9 @@
  * interface and are bit-exact against each other (the
  * backend-parity test suite enforces it). Analytic is not a Backend:
  * AnalyticBackend only prices, and it answers every run's
- * InferenceReport whichever backend executed the tensors. Tensor
- * backends are selected per engine and overridable per layer for
- * mixed runs, and all share one common::ThreadPool.
+ * InferenceReport whichever backend executed the tensors. A
+ * compiled model runs every layer on the one tensor backend its
+ * engine selects, and all share one common::ThreadPool.
  */
 
 #ifndef NC_CORE_BACKEND_HH
@@ -39,7 +39,7 @@ namespace nc::core
 class Executor;
 struct CompiledLayer;
 
-/** The three ways a compiled layer can execute. */
+/** The three ways a compiled model can execute. */
 enum class BackendKind
 {
     Reference,
@@ -73,8 +73,8 @@ struct ExecContext
 
 /**
  * A functional execution strategy for compiled layers. Implementations
- * wrap the existing executors; CompiledModel dispatches each layer to
- * the backend its compile options selected. Every entry point takes
+ * wrap the existing executors; CompiledModel dispatches every layer
+ * to the one backend its engine selected. Every entry point takes
  * the CompiledLayer, which carries the op shape, the prepared
  * kernels, the calibrated requantization scalars, and the layer's own
  * scratch array — the latter is what lets independent branches of one

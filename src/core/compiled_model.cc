@@ -42,8 +42,8 @@ CompiledModel::report(unsigned batch) const
               "report: batch %u exceeds the %u ceiling for '%s'",
               batch, kMaxBatch, net.name.c_str());
     // The compile-time banding is authoritative: the report prices
-    // exactly the slot/pass structure runBatch executes (which a
-    // per-layer reference override, say, can shrink below the
+    // exactly the slot/pass structure runBatch executes (a Reference
+    // model places no bands, so its slots differ from the
     // all-functional net-level estimate) — and after runtime
     // retirements it is the degraded banding, so throughput honestly
     // shrinks with capacity.
@@ -61,9 +61,9 @@ void
 CompiledModel::placeAndPrepare(bool force_streaming)
 {
     const cache::Geometry &geom = cfg.geometry;
-    bool uses_func = false;
-    for (const CompiledLayer &layer : layers)
-        uses_func |= layer.backend == BackendKind::Functional;
+    // Only a Functional model's convs own filter bands; a Reference
+    // model runs CPU loops and touches no arrays.
+    const bool functional = kind == BackendKind::Functional;
 
     // One scratch array per concurrently-executing branch (pools,
     // eltwise merges, and requantization scribble on it); stages
@@ -82,7 +82,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
 
     uint64_t whole_need = 0;
     for (const CompiledLayer &layer : layers) {
-        if (layer.op.isConv() && layer.backend == BackendKind::Functional)
+        if (functional && layer.op.isConv())
             whole_need += layer.funcPlan.totalArrays(layer.op.conv.m);
     }
     // The §IV-E batch banding: one image's footprint (stationary
@@ -112,8 +112,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
         uint64_t next = 0;
         for (size_t li = 0; li < layers.size(); ++li) {
             CompiledLayer &layer = layers[li];
-            if (!layer.op.isConv() ||
-                layer.backend != BackendKind::Functional)
+            if (!functional || !layer.op.isConv())
                 continue;
             uint64_t need =
                 layer.funcPlan.totalArrays(layer.op.conv.m);
@@ -149,8 +148,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
             for (size_t bi = 0; bi < cstage.branches.size(); ++bi) {
                 for (size_t li : cstage.branches[bi].layerIdx) {
                     const CompiledLayer &layer = layers[li];
-                    if (!layer.op.isConv() ||
-                        layer.backend != BackendKind::Functional)
+                    if (!functional || !layer.op.isConv())
                         continue;
                     need_b[bi] = std::max(
                         need_b[bi], layer.funcPlan.totalArrays(
@@ -203,8 +201,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
             for (size_t bi = 0; bi < cstage.branches.size(); ++bi) {
                 for (size_t li : cstage.branches[bi].layerIdx) {
                     CompiledLayer &layer = layers[li];
-                    if (!layer.op.isConv() ||
-                        layer.backend != BackendKind::Functional)
+                    if (!functional || !layer.op.isConv())
                         continue;
                     place[li] = {next, band_b[bi], false};
                     layer.baseArray = next;
@@ -219,8 +216,8 @@ CompiledModel::placeAndPrepare(bool force_streaming)
 
     // Scratch arrays: one per branch slot, materialized now so the
     // parallel branch fan-out never mutates the lazy array map.
-    // Pure-reference models are CPU loops only and touch no arrays.
-    if (uses_func) {
+    // Reference models are CPU loops only and touch no arrays.
+    if (functional) {
         for (uint64_t i = 0; i < scratch_slots; ++i)
             cc->array(cc->coordOf(scratch_base + i));
     }
@@ -231,67 +228,47 @@ CompiledModel::placeAndPrepare(bool force_streaming)
         }
     }
     scratchBase = scratch_base;
-
-    // The per-call Executor helpers share slot 0.
-    ex->setScratchBase(scratch_base);
+    // Replicas (if any were pinned) are stale after a re-place; they
+    // re-pin lazily on the next batch pass.
+    preparedSlots = 1;
+    if (!functional)
+        return;
 
     // --- Pass C: prepare the per-layer kernels. --------------------
     for (size_t li = 0; li < layers.size(); ++li) {
         CompiledLayer &layer = layers[li];
         if (layer.op.isConv()) {
             const dnn::ConvOp &co = layer.op.conv;
-            if (layer.backend == BackendKind::Functional) {
-                layer.funcConv = ex->prepareConv(
-                    layer.weights, co.stride, co.samePad,
-                    place[li].base, place[li].band,
-                    place[li].resident);
-                // The band arithmetic above priced chunks from
-                // layer.funcPlan; the executor re-derives its plan
-                // from the same inputs — catch any drift before it
-                // can overlap adjacent bands.
-                nc_assert(layer.funcConv->chunksPerBatch() ==
-                                  layer.funcPlan.chunks &&
-                              layer.funcConv->plan().lanes ==
-                                  layer.funcPlan.lanes,
-                          "conv '%s': executor mapping (%u chunks, "
-                          "%u lanes) disagrees with the compile plan "
-                          "(%u chunks, %u lanes)",
-                          co.name.c_str(),
-                          layer.funcConv->chunksPerBatch(),
-                          layer.funcConv->plan().lanes,
-                          layer.funcPlan.chunks, layer.funcPlan.lanes);
-            }
+            layer.funcConv = ex->prepareConv(
+                layer.weights, co.stride, co.samePad, place[li].base,
+                place[li].band, place[li].resident);
+            // The band arithmetic above priced chunks from
+            // layer.funcPlan; the executor re-derives its plan from
+            // the same inputs — catch any drift before it can
+            // overlap adjacent bands.
+            nc_assert(layer.funcConv->chunksPerBatch() ==
+                              layer.funcPlan.chunks &&
+                          layer.funcConv->plan().lanes ==
+                              layer.funcPlan.lanes,
+                      "conv '%s': executor mapping (%u chunks, %u "
+                      "lanes) disagrees with the compile plan (%u "
+                      "chunks, %u lanes)",
+                      co.name.c_str(), layer.funcConv->chunksPerBatch(),
+                      layer.funcConv->plan().lanes,
+                      layer.funcPlan.chunks, layer.funcPlan.lanes);
         } else if (layer.op.kind == dnn::OpKind::EltwiseAdd) {
-            if (layer.backend == BackendKind::Functional)
-                layer.funcElt = ex->prepareEltwise(
-                    layer.requantMult, layer.requantShift,
-                    layer.scratchArray);
+            layer.funcElt = ex->prepareEltwise(
+                layer.requantMult, layer.requantShift,
+                layer.scratchArray);
         }
     }
-
-    // Replicas (if any were pinned) are stale after a re-place; they
-    // re-pin lazily on the next batch pass.
-    preparedSlots = 1;
-}
-
-Backend &
-CompiledModel::backendFor(BackendKind k)
-{
-    // Analytic executes no tensors: an analytic compile places no
-    // layers, and compile rejects per-layer analytic overrides.
-    Backend *b = k == BackendKind::Reference    ? refBackend.get()
-                 : k == BackendKind::Functional ? funcBackend.get()
-                                                : nullptr;
-    nc_assert(b, "backend '%s' was not instantiated at compile time",
-              backendKindName(k));
-    return *b;
 }
 
 dnn::QTensor
 CompiledModel::runOp(CompiledLayer &layer, dnn::QTensor act,
                      const ExecContext &ctx)
 {
-    Backend &b = backendFor(layer.backend);
+    Backend &b = *tensorBackend;
     switch (layer.op.kind) {
       case dnn::OpKind::FullyConnected:
         // Flatten CHW into channels, as TF does for FC-as-1x1.
@@ -405,8 +382,7 @@ CompiledModel::runLayers(const dnn::QTensor &input,
                     ? outs[static_cast<size_t>(stage.shortcutBranch)]
                     : in0;
             CompiledLayer &l = layers[br.layerIdx.back()];
-            outs[bi] = backendFor(l.backend)
-                           .eltwiseAdd(l, outs[bi], operand, ctx);
+            outs[bi] = tensorBackend->eltwiseAdd(l, outs[bi], operand, ctx);
         }
 
         // Channel-concatenate the non-shortcut branch outputs (CHW is
@@ -613,7 +589,7 @@ CompiledModel::ensureImageSlots(unsigned want)
         uint64_t off = uint64_t(slot) * bandPlan.perImageArrays;
         // The replica's scratch arrays, materialized now: the image
         // fan-out must never mutate the lazy array map.
-        if (funcBackend) {
+        if (kind == BackendKind::Functional) {
             for (unsigned i = 0; i < bandPlan.scratchSlots; ++i)
                 cc->array(cc->coordOf(scratchBase + off + i));
         }

@@ -3,13 +3,16 @@
  * CompiledModel: the run-many half of the compile-once API.
  *
  * Engine::compile() pays, exactly once per network: quantization
- * calibration, mapping/tiling (mapping::planConv / planPool), the
- * §IV-C transposed weight layout, per-layer program/plan
- * construction, and — for functional backends — pinning every conv
- * layer's filters stationary in its own band of arrays. The
- * resulting CompiledModel then answers run()/runBatch() repeatedly
- * without re-planning or re-streaming weights, which is the whole
- * point of the paper's §IV-E amortization argument.
+ * calibration, mapping/tiling (mapping::planConv), per-layer
+ * program/plan construction, and — for functional backends —
+ * pinning every conv layer's filters stationary in its own band of
+ * arrays. The resulting CompiledModel then answers run()/runBatch()
+ * repeatedly without re-planning or re-streaming weights, which is
+ * the whole point of the paper's §IV-E amortization argument. It
+ * holds only what runs: the §IV-C transposed DRAM image of a conv
+ * layer's filters is a modeled artifact no kernel reads, built on
+ * demand by mapping::WeightLayout from the layer's op, plan and
+ * weights.
  */
 
 #ifndef NC_CORE_COMPILED_MODEL_HH
@@ -37,30 +40,25 @@ class Engine;
 /**
  * One layer after compilation: the op descriptor plus everything the
  * compile pass derived for it. Conv/FC layers carry quantized
- * weights, the mapping plan, the preprocessed (transposed) DRAM
- * image, calibrated requantization scalars, and — on the functional
- * backend — the prepared stationary-filter kernel.
+ * weights, the mapping plan, calibrated requantization scalars, and
+ * — on the functional backend — the prepared stationary-filter
+ * kernel.
  */
 struct CompiledLayer
 {
     dnn::Op op;
-    BackendKind backend = BackendKind::Functional;
 
     /** @name Conv / FullyConnected artifacts */
     /// @{
     dnn::QWeights weights;
+    /**
+     * The mapper's §IV-A/B placement. With `op.conv` and `weights`
+     * it is what mapping::WeightLayout needs to build the §IV-C DRAM
+     * image on demand; the simulator kernels pin `weights` directly.
+     */
     mapping::ConvPlan plan;
     /** The executor transform selection (pack/split/chunk bands). */
     mapping::FunctionalConvPlan funcPlan;
-    /**
-     * Filter bytes in §IV-C streaming order — the preprocessed DRAM
-     * image the modeled machine would burst into the arrays, built
-     * once per compile and exposed for inspection/tooling. The
-     * simulator kernels pin `weights` directly (their one-array
-     * layout differs from the mapper's multi-way placement), so this
-     * is a modeled artifact, not kernel input.
-     */
-    std::vector<uint8_t> dramImage;
     /** Calibrated fixed-point requantization: q = sat8((acc*m)>>s).
      * For eltwise layers these are the merge scalars of
      * sat8(((a+b)*mult)>>shift). */
@@ -70,7 +68,7 @@ struct CompiledLayer
     uint64_t baseArray = 0;
     /**
      * Arrays in the band starting at baseArray (0 for layers that
-     * own no filter band — pools, eltwise, reference-backed convs).
+     * own no filter band — pools, eltwise, a Reference model's convs).
      * With bandResident the pair records the placement verdict pass
      * B made, so the static auditor (mapping::auditPlan) can
      * re-derive every concurrently-live range without re-running
@@ -82,11 +80,6 @@ struct CompiledLayer
      * (streaming regime). */
     bool bandResident = true;
     std::optional<Executor::PreparedConv> funcConv;
-    /// @}
-
-    /** @name Pool artifacts */
-    /// @{
-    mapping::PoolPlan poolPlan;
     /// @}
 
     /** @name Eltwise artifacts */
@@ -138,9 +131,10 @@ class CompiledModel
     ~CompiledModel();
 
     const dnn::Network &network() const { return net; }
-    /** The engine-level backend the model was compiled for. */
+    /** The backend every layer of the model runs on. */
     BackendKind backend() const { return kind; }
-    /** Whether run() produces output tensors (any functional layer). */
+    /** Whether run() produces output tensors: true for Reference and
+     * Functional models, false for a pure-analytic compile. */
     bool functional() const { return !layers.empty(); }
 
     /** @name Expected input shape (the first op's input) */
@@ -247,8 +241,8 @@ class CompiledModel
     const sram::faults::Config &faultConfig() const { return faultCfg; }
     /**
      * Whether the runtime canary check runs after every pass: faults
-     * configured with canary on, and some layer on the functional
-     * backend (a pure-reference model touches no arrays).
+     * configured with canary on, and a Functional model (a
+     * Reference model touches no arrays).
      */
     bool canaryArmed() const { return canaryOn; }
     /** Flat logical indices [0, extent) the current plan touches:
@@ -270,7 +264,6 @@ class CompiledModel
     friend class Engine;
     CompiledModel();
 
-    Backend &backendFor(BackendKind k);
     dnn::QTensor runLayers(const dnn::QTensor &input,
                            const ExecContext &ctx);
     dnn::QTensor runOp(CompiledLayer &layer, dnn::QTensor act,
@@ -358,7 +351,7 @@ class CompiledModel
 
     std::unique_ptr<cache::ComputeCache> cc;
     std::unique_ptr<Executor> ex;
-    std::unique_ptr<Backend> refBackend, funcBackend;
+    std::unique_ptr<Backend> tensorBackend; ///< runs every layer
     std::vector<CompiledLayer> layers;
     std::vector<CompiledStage> stages;
 };

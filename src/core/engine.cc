@@ -8,7 +8,6 @@
 #include "dnn/random.hh"
 #include "core/program_verify.hh"
 #include "mapping/plan_audit.hh"
-#include "mapping/weight_layout.hh"
 
 namespace nc::core
 {
@@ -155,9 +154,9 @@ Engine::compile(const dnn::Network &net,
         return m;
     }
 
-    // 2. Functional compilation: validate the topology, calibrate,
-    //    lay out weights, and pin every conv layer's filters into its
-    //    own band of arrays.
+    // 2. Tensor compilation: validate the topology, calibrate, plan
+    //    every conv, and (Functional) pin its filters into its own
+    //    band of arrays.
     const cache::Geometry &geom = opts.config.geometry;
     m.cc = std::make_unique<cache::ComputeCache>(geom);
     m.ex = std::make_unique<Executor>(*m.cc, *pool);
@@ -184,21 +183,13 @@ Engine::compile(const dnn::Network &net,
         }
     }
 
-    // Which backends do the layers actually use?
-    bool uses_func = opts.backend == BackendKind::Functional;
-    bool uses_ref = opts.backend == BackendKind::Reference;
-    for (const auto &[name, kind] : opts.layerBackends) {
-        nc_assert(kind != BackendKind::Analytic,
-                  "layer '%s': per-layer analytic override is "
-                  "meaningless in a functional engine", name.c_str());
-        uses_func |= kind == BackendKind::Functional;
-        uses_ref |= kind == BackendKind::Reference;
-    }
+    // Reference models run CPU loops and touch no arrays.
+    const bool functional = opts.backend == BackendKind::Functional;
 
     // Runtime repair (canary check -> retire -> re-pin -> retry)
     // guards the arrays the functional layers run on.
     if (opts.faults.enabled())
-        m.canaryOn = opts.faults.canary && uses_func;
+        m.canaryOn = opts.faults.canary && functional;
 
     // --- Pass A: validate the topology and build the per-layer and
     // per-stage program structure (no array placement yet). ---------
@@ -242,10 +233,6 @@ Engine::compile(const dnn::Network &net,
             for (const auto &op : branch.ops) {
                 CompiledLayer layer;
                 layer.op = op;
-                layer.backend = opts.backend;
-                if (auto it = opts.layerBackends.find(op.name());
-                    it != opts.layerBackends.end())
-                    layer.backend = it->second;
 
                 if (op.isConv()) {
                     const dnn::ConvOp &co = op.conv;
@@ -258,8 +245,7 @@ Engine::compile(const dnn::Network &net,
                     // shape.
                     layer.funcPlan =
                         mapping::planFunctionalConv(co, geom);
-                    nc_assert(layer.backend != BackendKind::Functional ||
-                                  layer.funcPlan.fits,
+                    nc_assert(!functional || layer.funcPlan.fits,
                               "conv '%s' (C=%u RxS=%ux%u) exceeds "
                               "every functional mapping",
                               co.name.c_str(), co.c, co.r, co.s);
@@ -279,9 +265,7 @@ Engine::compile(const dnn::Network &net,
                         given = &qw;
                     }
                     convs.emplace_back(m.layers.size(), given);
-                } else if (op.isPool()) {
-                    layer.poolPlan = mapping::planPool(op.pool, geom);
-                } else {
+                } else if (op.kind == dnn::OpKind::EltwiseAdd) {
                     // Residual merge: both operands are requantized
                     // bytes, so the worst-case accumulator is 510 and
                     // the §IV-D scalars come from the same
@@ -299,14 +283,9 @@ Engine::compile(const dnn::Network &net,
         shape = {scp.out.c, scp.out.h, scp.out.w};
     }
 
-    // Every per-layer override and every provided weight bank must
-    // have named a real layer — a typo silently running the default
-    // backend, or silently substituting seeded random filters, would
+    // Every provided weight bank must have named a real conv layer
+    // — silently substituting seeded random filters for a typo would
     // be a measurement lie.
-    for (const auto &[name, kind] : opts.layerBackends)
-        nc_assert(m.findLayer(name) != nullptr,
-                  "layerBackends override names unknown layer '%s'",
-                  name.c_str());
     for (const auto &[name, qw] : weights) {
         const CompiledLayer *l = m.findLayer(name);
         nc_assert(l && l->op.isConv(),
@@ -316,12 +295,14 @@ Engine::compile(const dnn::Network &net,
     }
 
     // Per-layer weight preparation, fanned over the pool: the bank,
-    // the mapping/tiling plan, the §IV-C transposed DRAM image and
-    // the requant scalars. A seeded bank depends only on weightSeed
-    // and its layer index, so every artifact is identical at any
-    // thread count. stageCost() above already planned each op for
-    // its cost; re-deriving the plan here (cheap arithmetic) keeps
-    // CostModel's interface unchanged while exposing the artifact.
+    // the mapping/tiling plan and the requant scalars. A seeded bank
+    // depends only on weightSeed and its layer index, so every
+    // artifact is identical at any thread count. stageCost() above
+    // already planned each op for its cost; re-deriving the plan
+    // here (cheap arithmetic) keeps CostModel's interface unchanged
+    // while exposing the artifact. No kernel reads the §IV-C DRAM
+    // image, so compile does not build it: mapping::WeightLayout
+    // derives it on demand from the layer's op, plan and weights.
     pool->parallelFor(convs.size(), [&](size_t t) {
         auto [li, given] = convs[t];
         CompiledLayer &layer = m.layers[li];
@@ -334,8 +315,6 @@ Engine::compile(const dnn::Network &net,
                 dnn::randomQWeights(rng, co.m, co.c, co.r, co.s);
         }
         layer.plan = mapping::planConv(co, geom);
-        mapping::WeightLayout wl(co, layer.plan, geom);
-        layer.dramImage = wl.dramImage(layer.weights);
         calibrateRequant(layer.weights, layer.requantMult,
                          layer.requantShift);
     });
@@ -346,11 +325,8 @@ Engine::compile(const dnn::Network &net,
     // first placement, over the BIST survivors.
     m.placeAndPrepare(false);
 
-    // 3. Instantiate the backends the layers use.
-    if (uses_ref)
-        m.refBackend = makeBackend(BackendKind::Reference, m.ex.get());
-    if (uses_func)
-        m.funcBackend = makeBackend(BackendKind::Functional, m.ex.get());
+    // 3. The one tensor backend every layer runs on.
+    m.tensorBackend = makeBackend(opts.backend, m.ex.get());
 
     // 4. The static band-plan audit: prove every concurrently-live
     //    range disjoint and in-bounds before the model can run.

@@ -5,13 +5,13 @@
  *     core::EngineOptions opts;            // backend, threads, config
  *     core::Engine engine(opts);
  *     auto model = engine.compile(net);    // mapping + calibration +
- *                                          // weight layout, paid once
+ *                                          // placement, paid once
  *     auto r1 = model.run(image);          // execute; r1.output +
  *     auto r2 = model.run(image2);         // r1.report in one call
  *     auto rep = model.report(64);         // batch-64 timing, free
  *
  * One Engine owns one common::ThreadPool; every model it compiles
- * (and every backend behind them) shares it. Weights come from an
+ * (and the one backend behind each) shares it. Weights come from an
  * explicit ModelWeights map or, for synthetic studies, are generated
  * deterministically from options().weightSeed.
  */
@@ -37,15 +37,8 @@ using ModelWeights = std::map<std::string, dnn::QWeights>;
 /** Everything an Engine is configured with. */
 struct EngineOptions
 {
-    /** Default backend for every layer. */
+    /** The backend every layer of a compiled model runs on. */
     BackendKind backend = BackendKind::Functional;
-    /**
-     * Per-layer overrides by op name (mixed runs: e.g. convs on the
-     * functional path, the rest on the reference loops). Only
-     * meaningful for tensor-executing engines; overriding to Analytic
-     * is an error.
-     */
-    std::map<std::string, BackendKind> layerBackends;
     /** Worker threads shared engine-wide (0 = NC_THREADS / hw). */
     unsigned threads = 0;
     /** Accelerator model configuration (geometry, cost, energy). */
@@ -77,17 +70,21 @@ class Engine
 
     /**
      * Compile @p net: validate the topology, run quantization
-     * calibration, mapping/tiling, transposed weight layout, and
-     * per-layer program construction exactly once. @p weights names
+     * calibration, mapping/tiling, and per-layer program
+     * construction exactly once, and make the one tensor backend
+     * (options().backend) every layer runs on. @p weights names
      * filter banks by layer; layers without one get deterministic
      * seeded random filters. The network must be non-empty. The
-     * per-layer weight preparation (bank, plan, DRAM image, requant
-     * scalars) fans out over the engine's pool with results identical
-     * at any thread count, and several threads may compile on one
-     * Engine at once. Functional backends execute whole multi-branch
-     * stages (branch outputs channel-concatenate; an eltwise tail
-     * merges with the shortcut branch or the stage input) and any
-     * conv shape mapping::planFunctionalConv can place.
+     * per-layer weight preparation (bank, plan, requant scalars)
+     * fans out over the engine's pool with results identical at any
+     * thread count, and several threads may compile on one Engine at
+     * once. The §IV-C DRAM image is not built here; build it on
+     * demand with mapping::WeightLayout from a compiled layer's op,
+     * plan and weights. Functional backends execute whole
+     * multi-branch stages (branch outputs channel-concatenate; an
+     * eltwise tail merges with the shortcut branch or the stage
+     * input) and any conv shape mapping::planFunctionalConv can
+     * place.
      */
     CompiledModel compile(const dnn::Network &net,
                           const ModelWeights &weights = {}) const;

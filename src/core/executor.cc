@@ -34,6 +34,10 @@ namespace
  */
 constexpr size_t kMaxGroupArrays = 64;
 
+/** The array the per-call helpers without an explicit one scribble
+ * on (see Executor). */
+constexpr uint64_t kHelperScratch = 0;
+
 /**
  * The calling thread's group array of @p members arrays of @p rows x
  * @p cols, task-private and untagged like maxPoolAt's window arrays.
@@ -497,7 +501,7 @@ dnn::QTensor
 Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
                   unsigned stride, bool same_pad)
 {
-    return maxPoolAt(scratchBase, in, r, s, stride, same_pad);
+    return maxPoolAt(kHelperScratch, in, r, s, stride, same_pad);
 }
 
 dnn::QTensor
@@ -602,14 +606,14 @@ dnn::QTensor
 Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
                   unsigned stride)
 {
-    return avgPoolAt(scratchBase, in, r, s, stride, false);
+    return avgPoolAt(kHelperScratch, in, r, s, stride, false);
 }
 
 dnn::QTensor
 Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
                   unsigned stride, bool same_pad)
 {
-    return avgPoolAt(scratchBase, in, r, s, stride, same_pad);
+    return avgPoolAt(kHelperScratch, in, r, s, stride, same_pad);
 }
 
 dnn::QTensor
@@ -726,7 +730,7 @@ Executor::minMax(const std::vector<uint64_t> &vals, unsigned bits)
     unsigned lanes =
         static_cast<unsigned>(roundUpPow2(vals.size()));
 
-    sram::Array &arr = cc.array(cc.coordOf(scratchBase));
+    sram::Array &arr = cc.array(cc.coordOf(kHelperScratch));
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice mx = rows.alloc(bits);
     bs::VecSlice mn = rows.alloc(bits);
@@ -750,7 +754,7 @@ std::vector<uint8_t>
 Executor::requantize(const std::vector<uint32_t> &acc, uint8_t mult,
                      unsigned shift)
 {
-    return requantizeAt(scratchBase, acc, mult, shift);
+    return requantizeAt(kHelperScratch, acc, mult, shift);
 }
 
 std::vector<uint8_t>
@@ -862,7 +866,7 @@ Executor::eltwiseAdd(const std::vector<uint8_t> &a,
                      const std::vector<uint8_t> &b, uint8_t mult,
                      unsigned shift)
 {
-    return prepareEltwise(mult, shift, scratchBase).run(a, b);
+    return prepareEltwise(mult, shift, kHelperScratch).run(a, b);
 }
 
 std::vector<uint8_t>
@@ -873,7 +877,7 @@ Executor::relu(const std::vector<uint8_t> &vals)
     nc_assert(vals.size() <= cols, "relu: %zu values exceed %u lanes",
               vals.size(), cols);
 
-    sram::Array &arr = cc.array(cc.coordOf(scratchBase));
+    sram::Array &arr = cc.array(cc.coordOf(kHelperScratch));
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice v = rows.alloc(bits);
 

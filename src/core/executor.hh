@@ -69,7 +69,12 @@
 namespace nc::core
 {
 
-/** Executes quantized layers on compute-cache arrays. */
+/**
+ * Executes quantized layers on compute-cache arrays. The per-call
+ * helpers that name no array (maxPool, avgPool, minMax, requantize,
+ * eltwiseAdd, relu) scribble on array 0; the *At forms and the
+ * prepared kernels run on the arrays their caller names.
+ */
 class Executor
 {
   public:
@@ -345,19 +350,10 @@ class Executor
     /** Worker threads the executor fans layer tasks over. */
     unsigned threads() const { return pool.size(); }
 
-    /**
-     * Flat index of the array the layer-less helpers (maxPool,
-     * avgPool, minMax, requantize, relu) scribble on. Defaults to 0;
-     * CompiledModel points it past the last prepared conv layer so
-     * the helpers never clobber stationary filters.
-     */
-    void setScratchBase(uint64_t base) { scratchBase = base; }
-
   private:
     cache::ComputeCache &cc;
     std::unique_ptr<common::ThreadPool> ownedPool; ///< null when shared
     common::ThreadPool &pool;
-    uint64_t scratchBase = 0;
 };
 
 } // namespace nc::core

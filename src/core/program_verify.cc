@@ -790,15 +790,17 @@ VerifySummary
 verifyCompiledModelOrDie(const CompiledModel &model,
                          std::vector<LayerProgramReport> *reports)
 {
+    VerifySummary sum;
+    // A Reference model's layers run CPU loops: no programs.
+    if (model.backend() != BackendKind::Functional)
+        return sum;
+
     const Clock::time_point t0 = Clock::now();
     OpVerifier check(model.config(), reports);
     const std::vector<mapping::AuditRange> ranges =
         mapping::planRanges(model);
 
     for (const CompiledLayer &layer : model.compiledLayers()) {
-        if (layer.backend != BackendKind::Functional)
-            continue; // reference layers run CPU loops, no program
-
         // Prepared kernels are checked through their own streams:
         // what is proved here is exactly what runs.
         const std::string &name = layer.op.name();
@@ -824,7 +826,6 @@ verifyCompiledModelOrDie(const CompiledModel &model,
         }
     }
 
-    VerifySummary sum;
     sum.programsVerified = check.verified();
     sum.verifyMs = msSince(t0);
     return sum;

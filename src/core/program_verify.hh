@@ -161,8 +161,8 @@ struct VerifySummary
  * kernel's own stream verbatim and each max pool's fold program,
  * plus the band containment check against the audited placement and
  * the bit-exact CostModel cycle cross-check (8-bit /
- * 24-bit-accumulator configs). Reference-backend layers and average
- * pools (no in-array program) are skipped. Fatal on any violation;
+ * 24-bit-accumulator configs). A Reference model and average pools
+ * (no in-array program) are skipped. Fatal on any violation;
  * returns coverage counters, and per-layer stats through @p reports
  * when non-null.
  */

@@ -249,13 +249,6 @@ makeConvRowLayout(const cache::Geometry &geom,
     return l;
 }
 
-bool
-fitsFunctionalExecutor(const dnn::ConvOp &op,
-                       const cache::Geometry &geom)
-{
-    return planFunctionalConv(op, geom).fits;
-}
-
 EltwiseRowLayout
 makeEltwiseRowLayout(const cache::Geometry &geom)
 {

@@ -164,15 +164,6 @@ ConvRowLayout makeConvRowLayout(const cache::Geometry &geom,
                                 const FunctionalConvPlan &plan);
 
 /**
- * Whether the functional executor can run @p op on @p geom through
- * some combination of the pack/split/chunk transforms. Engine::compile
- * consults this to fail fast — with a useful message — instead of
- * deep inside a kernel.
- */
-bool fitsFunctionalExecutor(const dnn::ConvOp &op,
-                            const cache::Geometry &geom);
-
-/**
  * The per-array row carve-up of the §IV-D residual merge,
  * sat8(((a + b) * mult) >> shift): two operand bytes, the widened
  * 9-bit sum, the broadcast multiplier, and the 17-bit product that

@@ -181,7 +181,12 @@ collectRanges(const core::CompiledModel &model, AuditReport *structural)
     std::vector<AuditRange> ranges;
     uint32_t resident_seq = 0;
 
-    for (size_t si = 0; si < stages.size(); ++si) {
+    // Only a Functional model places layers on arrays; a Reference
+    // model's layers run CPU loops.
+    const size_t placed_stages =
+        model.backend() == core::BackendKind::Functional ? stages.size()
+                                                         : 0;
+    for (size_t si = 0; si < placed_stages; ++si) {
         const auto &cstage = stages[si];
         for (size_t bi = 0; bi < cstage.branches.size(); ++bi) {
             const std::string where = " (stage '" +
@@ -191,8 +196,6 @@ collectRanges(const core::CompiledModel &model, AuditReport *structural)
                                       "')";
             for (size_t li : cstage.branches[bi].layerIdx) {
                 const core::CompiledLayer &layer = layers[li];
-                if (layer.backend != core::BackendKind::Functional)
-                    continue;
                 // Branch slot wiring: concurrently executing
                 // branches must scribble on distinct scratch arrays.
                 if (structural &&

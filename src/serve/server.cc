@@ -62,7 +62,11 @@ class Session : public std::enable_shared_from_this<Session>
     wire::FrameReader reader;
 };
 
-/** The loopback client's response side: bytes back to frames. */
+/**
+ * The loopback client's response side: bytes back to frames. The
+ * client may send and receive on two threads, so everything here,
+ * the closed flag included, lives under mtx.
+ */
 struct LoopbackState
 {
     std::mutex mtx;
@@ -70,11 +74,17 @@ struct LoopbackState
     wire::FrameReader reader;
     std::deque<wire::ResponseFrame> ready;
     std::string error;
+    /** The session's request stream poisoned: it was dropped, like a
+     * socket connection the server closed. */
+    bool closed = false;
 
-    void
+    /** Queue one response; false (nothing queued) once closed. */
+    bool
     onResponseBytes(std::vector<uint8_t> bytes)
     {
         std::lock_guard lk(mtx);
+        if (closed)
+            return false;
         reader.feed(bytes);
         while (auto payload = reader.next()) {
             wire::ResponseFrame rsp;
@@ -86,6 +96,16 @@ struct LoopbackState
         }
         if (error.empty() && !reader.error().empty())
             error = reader.error();
+        cv.notify_all();
+        return true;
+    }
+
+    /** Drop the session: wake any receive() waiting on it. */
+    void
+    close()
+    {
+        std::lock_guard lk(mtx);
+        closed = true;
         cv.notify_all();
     }
 };
@@ -239,8 +259,9 @@ InferenceServer::loopback()
     client.state = std::make_shared<detail::LoopbackState>();
     auto state = client.state;
     client.session = std::make_shared<detail::Session>(
-        *this, [state](std::vector<uint8_t> bytes) {
-            state->onResponseBytes(std::move(bytes));
+        *this, [this, state](std::vector<uint8_t> bytes) {
+            if (!state->onResponseBytes(std::move(bytes)))
+                ++stat->droppedResponses;
         });
     return client;
 }
@@ -250,7 +271,7 @@ InferenceServer::LoopbackClient::send(const wire::RequestFrame &req)
 {
     std::vector<uint8_t> bytes;
     wire::encodeRequest(req, bytes);
-    session->onBytes(bytes);
+    sendBytes(bytes);
 }
 
 void
@@ -258,6 +279,10 @@ InferenceServer::LoopbackClient::sendBytes(
     std::span<const uint8_t> bytes)
 {
     session->onBytes(bytes);
+    // A poisoned stream drops the session, as readConn drops a
+    // socket connection: later responses are counted, not queued.
+    if (session->poisoned())
+        state->close();
 }
 
 std::optional<wire::ResponseFrame>
@@ -265,8 +290,10 @@ InferenceServer::LoopbackClient::receive(unsigned timeoutMs)
 {
     std::unique_lock lk(state->mtx);
     bool got = state->cv.wait_for(
-        lk, std::chrono::milliseconds(timeoutMs),
-        [&] { return !state->ready.empty() || !state->error.empty(); });
+        lk, std::chrono::milliseconds(timeoutMs), [&] {
+            return !state->ready.empty() || !state->error.empty() ||
+                   state->closed;
+        });
     if (!got || state->ready.empty())
         return std::nullopt;
     wire::ResponseFrame rsp = std::move(state->ready.front());

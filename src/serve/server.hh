@@ -63,7 +63,7 @@ struct ServerStats
     uint64_t connectionsRefused = 0; ///< over maxConnections
     uint64_t framesIn = 0;           ///< well-formed requests decoded
     uint64_t protocolErrors = 0;     ///< bad frames / poisoned streams
-    uint64_t droppedResponses = 0;   ///< connection died mid-request
+    uint64_t droppedResponses = 0;   ///< client dropped mid-request
 };
 
 namespace detail
@@ -101,8 +101,12 @@ class InferenceServer
         void sendBytes(std::span<const uint8_t> bytes);
         /**
          * Next decoded response, blocking up to @p timeoutMs.
-         * nullopt on timeout or when the response stream itself is
-         * corrupt (never expected from an in-process server).
+         * nullopt on timeout, when the response stream itself is
+         * corrupt (never expected from an in-process server), or at
+         * once when this client's request stream poisoned and the
+         * session was dropped — after any responses already queued.
+         * Responses completing after the drop are counted in
+         * ServerStats::droppedResponses.
          */
         std::optional<wire::ResponseFrame>
         receive(unsigned timeoutMs = 30000);

@@ -36,6 +36,11 @@ expectParity(const dnn::Network &net, const core::ModelWeights &mw,
         opts.backend = kinds[i];
         core::Engine engine(opts);
         auto model = engine.compile(net, mw);
+        // The verifier proves the in-array programs a Functional
+        // model runs; a Reference model's CPU loops have none.
+        EXPECT_EQ(model.programsVerified() > 0,
+                  kinds[i] == BackendKind::Functional)
+            << tag << ": " << core::backendKindName(kinds[i]);
         auto res = model.run(in);
         outputs[i] = res.output.data();
         ASSERT_FALSE(outputs[i].empty()) << tag;

@@ -2,7 +2,7 @@
  * @file
  * The compile-once / run-many Engine API: lifecycle, bit-identical
  * repeated runs, agreement with the legacy per-call entry points,
- * per-layer backend mixing, and hard errors on degenerate input.
+ * the compile artifacts, and hard errors on degenerate input.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "core/executor.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/random.hh"
+#include "mapping/weight_layout.hh"
 
 namespace
 {
@@ -32,6 +33,19 @@ tinyNet()
     net.stages.push_back(dnn::singleOpStage(
         "head", dnn::conv("head", 4, 4, 4, 1, 1, 2)));
     return net;
+}
+
+/**
+ * A compiled conv layer's §IV-C DRAM image, built on demand from the
+ * artifacts compile keeps (op, plan, weights).
+ */
+std::vector<uint8_t>
+dramImageOf(const core::CompiledModel &model,
+            const core::CompiledLayer &layer)
+{
+    return mapping::WeightLayout(layer.op.conv, layer.plan,
+                                 model.config().geometry)
+        .dramImage(layer.weights);
 }
 
 core::ModelWeights
@@ -175,32 +189,6 @@ TEST(Engine, AnalyticReportMatchesPerCallPricing)
     }
 }
 
-TEST(Engine, MixedPerLayerBackendsAgreeWithUniform)
-{
-    auto net = tinyNet();
-    auto mw = tinyWeights(7);
-    Rng rng(11);
-    auto in = dnn::randomQTensor(rng, 3, 8, 8);
-
-    core::Engine uniform;
-    auto base = uniform.compile(net, mw).run(in);
-
-    // Reference by default, with the first conv on the arrays: the
-    // pool and head run CPU loops over the functional conv's bytes.
-    core::EngineOptions opts;
-    opts.backend = BackendKind::Reference;
-    opts.layerBackends["conv1"] = BackendKind::Functional;
-    core::Engine mixed(opts);
-    auto model = mixed.compile(net, mw);
-    auto got = model.run(in);
-
-    EXPECT_EQ(got.output.data(), base.output.data());
-    EXPECT_EQ(model.findLayer("conv1")->backend, BackendKind::Functional);
-    EXPECT_TRUE(model.findLayer("conv1")->funcConv.has_value());
-    EXPECT_EQ(model.findLayer("head")->backend, BackendKind::Reference);
-    EXPECT_FALSE(model.findLayer("head")->funcConv.has_value());
-}
-
 TEST(Engine, FullyConnectedFlattensActivations)
 {
     dnn::Network net;
@@ -236,9 +224,10 @@ TEST(Engine, SeededWeightsAreDeterministic)
     auto rc = core::Engine(opts).compile(net).run(in);
     EXPECT_NE(rc.output.data(), ra.output.data());
 
-    // Compile prepares the per-layer banks, DRAM images and requant
-    // scalars in parallel; the artifacts must not depend on the
-    // thread count. Plain, split, packed, multi-array and FC layers.
+    // Compile prepares the per-layer banks, plans and requant scalars
+    // in parallel; the artifacts, and the DRAM images built from
+    // them, must not depend on the thread count. Plain, split,
+    // packed, multi-array and FC layers.
     dnn::Network chain;
     chain.name = "conv-chain";
     for (auto op : {dnn::conv("plain", 8, 8, 16, 3, 3, 32),
@@ -258,9 +247,10 @@ TEST(Engine, SeededWeightsAreDeterministic)
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(serial[i].op.name());
-        EXPECT_FALSE(serial[i].dramImage.empty());
+        const auto image = dramImageOf(models[0], serial[i]);
+        EXPECT_FALSE(image.empty());
         EXPECT_EQ(serial[i].weights.data, parallel[i].weights.data);
-        EXPECT_EQ(serial[i].dramImage, parallel[i].dramImage);
+        EXPECT_EQ(image, dramImageOf(models[1], parallel[i]));
         EXPECT_EQ(serial[i].requantMult, parallel[i].requantMult);
         EXPECT_EQ(serial[i].requantShift, parallel[i].requantShift);
     }
@@ -274,7 +264,7 @@ TEST(Engine, CompileExposesMappingAndLayoutArtifacts)
     const auto *l1 = model.findLayer("conv1");
     ASSERT_NE(l1, nullptr);
     // The §IV-C transposed DRAM image covers every filter byte.
-    EXPECT_EQ(l1->dramImage.size(), size_t(4) * 3 * 3 * 3);
+    EXPECT_EQ(dramImageOf(model, *l1).size(), size_t(4) * 3 * 3 * 3);
     EXPECT_GT(l1->plan.parallelConvs, 0u);
     EXPECT_GE(l1->requantShift, 1u);
     // Layers own disjoint array bands.
@@ -362,16 +352,6 @@ TEST(EngineDeath, CompileRejectsShapeMismatch)
         "conv2", dnn::conv("conv2", 8, 8, 6, 3, 3, 4)));
     core::Engine engine;
     EXPECT_DEATH((void)engine.compile(net), "expects");
-}
-
-TEST(EngineDeath, CompileRejectsTypoedLayerOverride)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    core::EngineOptions opts;
-    opts.layerBackends["conv_1"] = BackendKind::Reference; // real: "conv1"
-    core::Engine engine(opts);
-    EXPECT_DEATH((void)engine.compile(tinyNet(), tinyWeights(7)),
-                 "unknown layer");
 }
 
 TEST(EngineDeath, CompileRejectsTypoedWeightBank)

@@ -70,14 +70,13 @@ TEST(InceptionFunctional, ReducedNetMatchesReferenceAcrossThreads)
 
         // Every stage must be functional — no analytic fallback.
         ASSERT_TRUE(model.functional());
+        EXPECT_EQ(model.backend(), BackendKind::Functional);
         size_t ops = 0;
         for (const auto &stage : net.stages)
             for (const auto &branch : stage.branches)
                 ops += branch.ops.size();
         ASSERT_EQ(model.compiledLayers().size(), ops);
         for (const auto &layer : model.compiledLayers()) {
-            EXPECT_EQ(layer.backend, BackendKind::Functional)
-                << layer.op.name();
             if (layer.op.isConv()) {
                 EXPECT_TRUE(layer.funcConv.has_value())
                     << layer.op.name();
@@ -144,9 +143,9 @@ TEST(InceptionFunctional, FullResolutionCompilesFullyFunctional)
     auto model = engine.compile(net);
 
     ASSERT_TRUE(model.functional());
+    EXPECT_EQ(model.backend(), BackendKind::Functional);
     unsigned convs = 0, streaming = 0;
     for (const auto &layer : model.compiledLayers()) {
-        EXPECT_EQ(layer.backend, BackendKind::Functional);
         if (!layer.op.isConv())
             continue;
         ASSERT_TRUE(layer.funcConv.has_value()) << layer.op.name();

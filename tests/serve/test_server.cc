@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
 #include <vector>
 
 #include "serve/loadgen.hh"
@@ -154,31 +156,77 @@ oneByteOver(const serve::wire::RequestFrame &req)
     return bytes;
 }
 
+/**
+ * @p client's next response under receive()'s default timeout, with
+ * the wall milliseconds the call took in @p ms.
+ */
+std::optional<serve::wire::ResponseFrame>
+timedReceive(InferenceServer::LoopbackClient &client, double &ms)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    auto rsp = client.receive();
+    ms = std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+             .count();
+    return rsp;
+}
+
 TEST_F(ServerTest, FrameCeilingIsOneRequestOverLoopback)
 {
     InferenceServer server(model, {});
     auto client = server.loopback();
+    double ms = 0;
 
     // A request for the served model is exactly the ceiling.
     std::vector<uint8_t> exact;
     serve::wire::encodeRequest(request(1), exact);
     client.sendBytes(exact);
-    auto ok = client.receive();
+    auto ok = timedReceive(client, ms);
     ASSERT_TRUE(ok.has_value());
     EXPECT_EQ(ok->status, serve::wire::Status::Ok);
+    EXPECT_LT(ms, 1000.0);
     EXPECT_EQ(server.serverStats().protocolErrors, 0u);
 
     // One byte more poisons the stream before any payload buffers:
-    // no answer (not even BadRequest), and the session is dropped.
+    // no answer (not even BadRequest), and the session is dropped at
+    // once instead of leaving receive() to wait out its timeout.
     client.sendBytes(oneByteOver(request(2)));
-    EXPECT_FALSE(client.receive(300).has_value());
+    EXPECT_FALSE(timedReceive(client, ms).has_value());
+    EXPECT_LT(ms, 1000.0) << "receive() waited on a dropped session";
     EXPECT_EQ(server.serverStats().protocolErrors, 1u);
     client.send(request(3));
-    EXPECT_FALSE(client.receive(300).has_value())
+    EXPECT_FALSE(timedReceive(client, ms).has_value())
         << "a dropped session served a later request";
+    EXPECT_LT(ms, 1000.0) << "receive() waited on a dropped session";
     server.shutdown();
     EXPECT_EQ(server.serverStats().framesIn, 1u);
     EXPECT_EQ(server.serverStats().protocolErrors, 1u);
+}
+
+TEST_F(ServerTest, PoisonedLoopbackSessionDropsLateResponses)
+{
+    serve::ServerOptions opts;
+    opts.batcher.startPaused = true;
+    InferenceServer server(model, opts);
+    auto client = server.loopback();
+
+    // One valid request is admitted but cannot run yet; then the
+    // stream poisons, which drops the session.
+    client.send(request(1));
+    client.sendBytes(oneByteOver(request(2)));
+    double ms = 0;
+    EXPECT_FALSE(timedReceive(client, ms).has_value());
+    EXPECT_LT(ms, 1000.0) << "receive() waited on a dropped session";
+
+    // The admitted request still runs, but its response completes
+    // after the drop: it is counted, not queued.
+    server.batcher().resume();
+    server.shutdown();
+    EXPECT_FALSE(client.receive(0).has_value());
+    const serve::ServerStats st = server.serverStats();
+    EXPECT_EQ(st.droppedResponses, 1u);
+    EXPECT_EQ(st.framesIn, 1u);
+    EXPECT_EQ(st.protocolErrors, 1u);
 }
 
 TEST_F(ServerTest, FrameCeilingIsOneRequestOverSockets)
