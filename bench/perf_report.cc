@@ -153,7 +153,7 @@ struct ConvBench
           layer(ex.prepareConv(w, 1, true))
     {
         for (uint64_t i = 0; i < layer.bandArrays(); ++i)
-            cc.array(cc.coordOf(i)).setReferenceMode(scalar);
+            cc.array(i).setReferenceMode(scalar);
     }
 
     /** One run(); @p cycles gets the lockstep cycles it took. */

@@ -55,7 +55,7 @@ main(int argc, char **argv)
     bs::VecSlice cmp = rows.alloc(16);
 
     for (unsigned a = 0; a < arrays; ++a) {
-        auto &arr = cc.array(cc.coordOf(a));
+        auto &arr = cc.array(a);
         std::vector<uint64_t> k(keys.begin() + a * lanes,
                                 keys.begin() + (a + 1) * lanes);
         std::vector<uint64_t> v(vals.begin() + a * lanes,
@@ -74,7 +74,7 @@ main(int argc, char **argv)
     unsigned hits = 0, hit_lane = 0, hit_array = 0;
     uint64_t cycles = 0;
     for (unsigned a = 0; a < arrays; ++a) {
-        auto &arr = cc.array(cc.coordOf(a));
+        auto &arr = cc.array(a);
         cycles = bs::searchKey(arr, key, 12345);
         for (unsigned l = 0; l < lanes; ++l) {
             if (arr.tag().get(l)) {
@@ -88,14 +88,14 @@ main(int argc, char **argv)
                 "(record %u)\n",
                 hits, (unsigned long long)cycles,
                 hit_array * lanes + hit_lane);
-    auto &harr = cc.array(cc.coordOf(hit_array));
+    auto &harr = cc.array(hit_array);
     std::printf("  -> value = %llu\n",
                 (unsigned long long)bs::loadLane(harr, val, hit_lane));
 
     // Query 2: WHERE key >= 12000 (range scan via compareGE).
     unsigned ge_hits = 0;
     for (unsigned a = 0; a < arrays; ++a) {
-        auto &arr = cc.array(cc.coordOf(a));
+        auto &arr = cc.array(a);
         cycles = bs::compareGE(arr, key, thr, cmp);
         ge_hits += bs::matchCount(arr);
     }
@@ -110,7 +110,7 @@ main(int argc, char **argv)
     // folding a search into the surviving tag.
     unsigned and_hits = 0;
     for (unsigned a = 0; a < arrays; ++a) {
-        auto &arr = cc.array(cc.coordOf(a));
+        auto &arr = cc.array(a);
         bs::compareGE(arr, key, thr, cmp);
         // Fold "value == 7" into the existing tag (AND semantics).
         for (unsigned j = 0; j < 8; ++j) {

@@ -16,43 +16,23 @@ ComputeCache::ComputeCache(Geometry geom_) : geom(std::move(geom_))
 }
 
 uint64_t
-ComputeCache::flatIndex(const ArrayCoord &c) const
+ComputeCache::physicalOf(uint64_t logical) const
 {
-    nc_assert(c.slice < geom.slices && c.way < geom.waysPerSlice &&
-                  c.bank < geom.banksPerWay &&
-                  c.array < geom.arraysPerBank(),
-              "bad array coordinate (%u,%u,%u,%u)", c.slice, c.way,
-              c.bank, c.array);
-    return ((uint64_t(c.slice) * geom.waysPerSlice + c.way) *
-                geom.banksPerWay +
-            c.bank) *
-               geom.arraysPerBank() +
-           c.array;
-}
-
-ArrayCoord
-ComputeCache::coordOf(uint64_t flat) const
-{
-    nc_assert(flat < geom.totalArrays(), "flat index %llu out of range",
-              static_cast<unsigned long long>(flat));
-    ArrayCoord c;
-    c.array = flat % geom.arraysPerBank();
-    flat /= geom.arraysPerBank();
-    c.bank = flat % geom.banksPerWay;
-    flat /= geom.banksPerWay;
-    c.way = flat % geom.waysPerSlice;
-    c.slice = static_cast<unsigned>(flat / geom.waysPerSlice);
-    return c;
+    // Retirements shrink the logical space below totalArrays().
+    nc_assert(logical < usableArrays(),
+              "flat index %llu out of range (%llu usable arrays)",
+              static_cast<unsigned long long>(logical),
+              static_cast<unsigned long long>(usableArrays()));
+    return remap.empty() ? logical : remap[logical];
 }
 
 sram::Array &
-ComputeCache::array(const ArrayCoord &c)
+ComputeCache::array(uint64_t flat)
 {
     // Callers address logical indices; the self-healing remap picks
     // the physical array behind them (identity when no faults are
     // configured — see the class comment).
-    uint64_t idx = flatIndex(c);
-    uint64_t phys = physicalOf(idx);
+    uint64_t phys = physicalOf(flat);
     auto it = arrays.find(phys);
     if (it == arrays.end()) {
         // Materialization mutates the map and therefore only happens
@@ -64,17 +44,11 @@ ComputeCache::array(const ArrayCoord &c)
                  .first;
         // Ownership claims are made in logical coordinates; faults
         // belong to the physical silicon.
-        it->second->setOwnership(ownReg.get(), idx);
+        it->second->setOwnership(ownReg.get(), flat);
         if (fltReg)
             it->second->setFaults(fltReg->recordFor(phys));
     }
     return *it->second;
-}
-
-bool
-ComputeCache::materialized(const ArrayCoord &c) const
-{
-    return arrays.count(physicalOf(flatIndex(c))) != 0;
 }
 
 const sram::Array *

@@ -60,15 +60,11 @@ class ComputeCache
     const DramModel &dram() const { return dramModel; }
     const CBox &cbox() const { return cboxModel; }
 
-    /** Flat index of @p c in [0, totalArrays). */
-    uint64_t flatIndex(const ArrayCoord &c) const;
-    /** Inverse of flatIndex(). */
-    ArrayCoord coordOf(uint64_t flat) const;
-
-    /** Lazily materialize and return the array at @p c. */
-    sram::Array &array(const ArrayCoord &c);
-    /** Test whether @p c has been materialized. */
-    bool materialized(const ArrayCoord &c) const;
+    /**
+     * Lazily materialize and return the array at logical index
+     * @p flat in [0, usableArrays()).
+     */
+    sram::Array &array(uint64_t flat);
     size_t materializedCount() const { return arrays.size(); }
 
     /**
@@ -151,12 +147,9 @@ class ComputeCache
         return remap.empty() ? geom.totalArrays() : remap.size();
     }
 
-    /** The physical array behind logical index @p logical. */
-    uint64_t
-    physicalOf(uint64_t logical) const
-    {
-        return remap.empty() ? logical : remap[logical];
-    }
+    /** The physical array behind logical index @p logical, which
+     * must be below usableArrays(). */
+    uint64_t physicalOf(uint64_t logical) const;
 
     /**
      * Retire the physical array behind @p logical and substitute the

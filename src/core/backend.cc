@@ -1,9 +1,6 @@
 #include "core/backend.hh"
 
 #include "common/logging.hh"
-#include "core/compiled_model.hh"
-#include "core/executor.hh"
-#include "dnn/reference.hh"
 
 namespace nc::core
 {
@@ -125,153 +122,6 @@ AnalyticBackend::report(const dnn::Network &net,
     rep.spillPs = spill_ps;
     rep.energy = meterEnergy(rep.stages, rep.batchPs, cfg.energy);
     return rep;
-}
-
-namespace
-{
-
-// ---- Reference ------------------------------------------------------
-
-/** Ground-truth CPU loops; what every functional path is pinned to. */
-class ReferenceBackend : public Backend
-{
-  public:
-    // CPU loops carry no array state, so every image slot runs the
-    // identical code: the ExecContext is accepted and ignored.
-    std::vector<uint32_t>
-    conv(CompiledLayer &layer, const dnn::QTensor &in, unsigned &out_h,
-         unsigned &out_w, const ExecContext &) override
-    {
-        return dnn::convQuantUnsigned(in, layer.weights,
-                                      layer.op.conv.stride,
-                                      layer.op.conv.samePad, out_h,
-                                      out_w);
-    }
-
-    dnn::QTensor
-    maxPool(CompiledLayer &layer, const dnn::QTensor &in,
-            const ExecContext &) override
-    {
-        const dnn::PoolOp &po = layer.op.pool;
-        return dnn::maxPoolQuant(in, po.r, po.s, po.stride,
-                                 po.samePad);
-    }
-
-    dnn::QTensor
-    avgPool(CompiledLayer &layer, const dnn::QTensor &in,
-            const ExecContext &) override
-    {
-        const dnn::PoolOp &po = layer.op.pool;
-        return dnn::avgPoolQuant(in, po.r, po.s, po.stride,
-                                 po.samePad);
-    }
-
-    dnn::QTensor
-    eltwiseAdd(CompiledLayer &layer, const dnn::QTensor &a,
-               const dnn::QTensor &b, const ExecContext &) override
-    {
-        return dnn::eltwiseAddQuant(a, b, layer.requantMult,
-                                    layer.requantShift);
-    }
-
-    std::vector<uint8_t>
-    requantize(CompiledLayer &layer,
-               const std::vector<uint32_t> &acc,
-               const ExecContext &) override
-    {
-        // Integer-exact mirror of the in-array sequence: multiply,
-        // truncating shift, saturate to 8 bits.
-        std::vector<uint8_t> out(acc.size());
-        for (size_t i = 0; i < acc.size(); ++i) {
-            uint64_t t = (static_cast<uint64_t>(acc[i]) *
-                          layer.requantMult) >>
-                         layer.requantShift;
-            out[i] = static_cast<uint8_t>(t > 0xff ? 0xff : t);
-        }
-        return out;
-    }
-};
-
-// ---- Functional (bit-serial Executor) -------------------------------
-
-class FunctionalBackend : public Backend
-{
-  public:
-    explicit FunctionalBackend(Executor &ex_) : ex(ex_) {}
-
-    std::vector<uint32_t>
-    conv(CompiledLayer &layer, const dnn::QTensor &in, unsigned &out_h,
-         unsigned &out_w, const ExecContext &ctx) override
-    {
-        nc_assert(layer.funcConv.has_value(),
-                  "layer '%s' was not prepared for the functional "
-                  "backend", layer.op.name().c_str());
-        return layer.funcConv->run(in, layer.weights, out_h, out_w,
-                                   ctx.arrayOffset);
-    }
-
-    dnn::QTensor
-    maxPool(CompiledLayer &layer, const dnn::QTensor &in,
-            const ExecContext &ctx) override
-    {
-        const dnn::PoolOp &po = layer.op.pool;
-        return ex.maxPoolAt(layer.scratchArray + ctx.arrayOffset, in,
-                            po.r, po.s, po.stride, po.samePad);
-    }
-
-    dnn::QTensor
-    avgPool(CompiledLayer &layer, const dnn::QTensor &in,
-            const ExecContext &ctx) override
-    {
-        const dnn::PoolOp &po = layer.op.pool;
-        return ex.avgPoolAt(layer.scratchArray + ctx.arrayOffset, in,
-                            po.r, po.s, po.stride, po.samePad);
-    }
-
-    dnn::QTensor
-    eltwiseAdd(CompiledLayer &layer, const dnn::QTensor &a,
-               const dnn::QTensor &b, const ExecContext &ctx) override
-    {
-        nc_assert(layer.funcElt.has_value(),
-                  "eltwise '%s' was not prepared for the functional "
-                  "backend", layer.op.name().c_str());
-        dnn::QTensor out(a.channels(), a.height(), a.width(),
-                         a.params());
-        out.data() = layer.funcElt->run(a.data(), b.data(),
-                                        ctx.arrayOffset);
-        return out;
-    }
-
-    std::vector<uint8_t>
-    requantize(CompiledLayer &layer,
-               const std::vector<uint32_t> &acc,
-               const ExecContext &ctx) override
-    {
-        return ex.requantizeAt(layer.scratchArray + ctx.arrayOffset,
-                               acc, layer.requantMult,
-                               layer.requantShift);
-    }
-
-  private:
-    Executor &ex;
-};
-
-} // namespace
-
-std::unique_ptr<Backend>
-makeBackend(BackendKind kind, Executor *ex)
-{
-    switch (kind) {
-      case BackendKind::Reference:
-        return std::make_unique<ReferenceBackend>();
-      case BackendKind::Functional:
-        nc_assert(ex, "functional backend needs an Executor");
-        return std::make_unique<FunctionalBackend>(*ex);
-      case BackendKind::Analytic:
-        break;
-    }
-    nc_panic("no tensor backend for kind '%s'",
-             backendKindName(kind));
 }
 
 } // namespace nc::core

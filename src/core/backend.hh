@@ -1,6 +1,7 @@
 /**
  * @file
- * Pluggable execution backends behind the Engine / CompiledModel API.
+ * The three backends a compiled model can be built for, and the
+ * timing class behind every report.
  *
  * One compiled network can be answered three ways:
  *
@@ -13,31 +14,24 @@
  *  - Analytic:   the paper's cost model (core::CostModel) — timing,
  *                phase breakdowns, and energy, no tensors.
  *
- * Reference and Functional execute tensors through the Backend
- * interface and are bit-exact against each other (the
- * backend-parity test suite enforces it). Analytic is not a Backend:
- * AnalyticBackend only prices, and it answers every run's
- * InferenceReport whichever backend executed the tensors. A
- * compiled model runs every layer on the one tensor backend its
- * engine selects, and all share one common::ThreadPool.
+ * BackendKind is a property of the compiled model: CompiledModel
+ * calls the Reference loops or the Functional kernels itself, every
+ * layer on the one kind its engine selected, and the two are
+ * bit-exact against each other (the backend-parity test suite
+ * enforces it). AnalyticBackend only prices: it answers every run's
+ * InferenceReport whichever kind executed the tensors.
  */
 
 #ifndef NC_CORE_BACKEND_HH
 #define NC_CORE_BACKEND_HH
 
-#include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
 #include "core/report.hh"
-#include "dnn/tensor.hh"
 
 namespace nc::core
 {
-
-class Executor;
-struct CompiledLayer;
 
 /** The three ways a compiled model can execute. */
 enum class BackendKind
@@ -56,84 +50,11 @@ const char *backendKindName(BackendKind k);
 bool parseBackendKind(std::string_view name, BackendKind &out);
 
 /**
- * The per-image execution context of one batch slot (§IV-E):
- * runBatch fans N images over the pool concurrently, and every image
- * in flight owns a complete replica of the network's array state —
- * stationary filter bands and scratch arrays alike — at flat-array
- * offset slot * perImageArrays. Kernels add arrayOffset to every
- * array index they touch, so concurrent images never share mutable
- * arrays and outputs are bit-identical to the serial per-image loop
- * for any thread count. Slot 0 (offset 0) is the bands the compile
- * pass placed; run() always executes there.
- */
-struct ExecContext
-{
-    uint64_t arrayOffset = 0; ///< flat-array offset of the replica
-};
-
-/**
- * A functional execution strategy for compiled layers. Implementations
- * wrap the existing executors; CompiledModel dispatches every layer
- * to the one backend its engine selected. Every entry point takes
- * the CompiledLayer, which carries the op shape, the prepared
- * kernels, the calibrated requantization scalars, and the layer's own
- * scratch array — the latter is what lets independent branches of one
- * stage execute concurrently without sharing mutable array state —
- * plus the ExecContext naming which image slot's array replica the
- * call runs on (images of one batch execute concurrently, each on
- * its own replica).
- */
-class Backend
-{
-  public:
-    virtual ~Backend() = default;
-
-    /**
-     * Convolution (or FC-as-1x1-conv) of @p layer on @p in; returns
-     * the raw accumulators in [m][oh][ow] order.
-     */
-    virtual std::vector<uint32_t> conv(CompiledLayer &layer,
-                                       const dnn::QTensor &in,
-                                       unsigned &out_h,
-                                       unsigned &out_w,
-                                       const ExecContext &ctx) = 0;
-
-    /** Max pooling with @p layer's window/stride/padding. */
-    virtual dnn::QTensor maxPool(CompiledLayer &layer,
-                                 const dnn::QTensor &in,
-                                 const ExecContext &ctx) = 0;
-
-    /** Average pooling (truncating division; SAME padding divides
-     * partial windows by their valid-element count). */
-    virtual dnn::QTensor avgPool(CompiledLayer &layer,
-                                 const dnn::QTensor &in,
-                                 const ExecContext &ctx) = 0;
-
-    /**
-     * Residual merge: out = sat8(((a + b) * mult) >> shift) with the
-     * layer's calibrated scalars.
-     */
-    virtual dnn::QTensor eltwiseAdd(CompiledLayer &layer,
-                                    const dnn::QTensor &a,
-                                    const dnn::QTensor &b,
-                                    const ExecContext &ctx) = 0;
-
-    /**
-     * Requantize accumulators to bytes: q = sat8((acc * mult) >>
-     * shift), the §IV-D fixed-point sequence with @p layer's
-     * compile-time calibrated scalars.
-     */
-    virtual std::vector<uint8_t> requantize(
-        CompiledLayer &layer, const std::vector<uint32_t> &acc,
-        const ExecContext &ctx) = 0;
-};
-
-/**
- * The timing half: wraps CostModel. It executes no tensors, so it is
- * not a Backend. CompiledModel uses it to price every stage once at
- * compile time and to assemble batched reports at run time — which
- * is exactly the compile/run amortization: mapping and tiling are
- * priced once, report assembly is arithmetic.
+ * The timing half: wraps CostModel and executes no tensors.
+ * CompiledModel uses it to price every stage once at compile time
+ * and to assemble batched reports at run time — which is exactly the
+ * compile/run amortization: mapping and tiling are priced once,
+ * report assembly is arithmetic.
  */
 class AnalyticBackend
 {
@@ -166,11 +87,6 @@ class AnalyticBackend
     NeuralCacheConfig cfg;
     CostModel costModel;
 };
-
-/**
- * Build a tensor-executing backend. @p ex is required for Functional.
- */
-std::unique_ptr<Backend> makeBackend(BackendKind kind, Executor *ex);
 
 } // namespace nc::core
 

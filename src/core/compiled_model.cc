@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "core/program_verify.hh"
+#include "dnn/reference.hh"
 #include "mapping/plan_audit.hh"
 
 namespace nc::core
@@ -219,7 +220,7 @@ CompiledModel::placeAndPrepare(bool force_streaming)
     // Reference models are CPU loops only and touch no arrays.
     if (functional) {
         for (uint64_t i = 0; i < scratch_slots; ++i)
-            cc->array(cc->coordOf(scratch_base + i));
+            cc->array(scratch_base + i);
     }
     for (CompiledStage &cstage : stages) {
         for (size_t bi = 0; bi < cstage.branches.size(); ++bi) {
@@ -266,9 +267,14 @@ CompiledModel::placeAndPrepare(bool force_streaming)
 
 dnn::QTensor
 CompiledModel::runOp(CompiledLayer &layer, dnn::QTensor act,
-                     const ExecContext &ctx)
+                     uint64_t array_offset)
 {
-    Backend &b = *tensorBackend;
+    // A Functional model runs the bit-serial kernels on the arrays of
+    // the image slot at array_offset; a Reference model runs the
+    // dnn::reference loops, which carry no array state, so every
+    // image slot runs the identical code.
+    const bool functional = kind == BackendKind::Functional;
+    const uint64_t scratch = layer.scratchArray + array_offset;
     switch (layer.op.kind) {
       case dnn::OpKind::FullyConnected:
         // Flatten CHW into channels, as TF does for FC-as-1x1.
@@ -281,17 +287,43 @@ CompiledModel::runOp(CompiledLayer &layer, dnn::QTensor act,
         }
         [[fallthrough]];
       case dnn::OpKind::Conv: {
+        const dnn::ConvOp &co = layer.op.conv;
         unsigned oh = 0, ow = 0;
-        auto acc = b.conv(layer, act, oh, ow, ctx);
-        auto bytes = b.requantize(layer, acc, ctx);
-        dnn::QTensor next(layer.op.conv.m, oh, ow);
+        std::vector<uint8_t> bytes;
+        if (functional) {
+            nc_assert(layer.funcConv.has_value(),
+                      "layer '%s' was not prepared for the functional "
+                      "backend", co.name.c_str());
+            const auto acc = layer.funcConv->run(act, layer.weights, oh,
+                                                 ow, array_offset);
+            bytes = ex->requantize(acc, layer.requantMult,
+                                   layer.requantShift, scratch);
+        } else {
+            const auto acc = dnn::convQuantUnsigned(
+                act, layer.weights, co.stride, co.samePad, oh, ow);
+            bytes = dnn::requantQuant(acc, layer.requantMult,
+                                      layer.requantShift);
+        }
+        dnn::QTensor next(co.m, oh, ow);
         next.data() = std::move(bytes);
         return next;
       }
-      case dnn::OpKind::MaxPool:
-        return b.maxPool(layer, act, ctx);
-      case dnn::OpKind::AvgPool:
-        return b.avgPool(layer, act, ctx);
+      case dnn::OpKind::MaxPool: {
+        const dnn::PoolOp &po = layer.op.pool;
+        if (functional)
+            return ex->maxPool(act, po.r, po.s, po.stride, po.samePad,
+                               scratch);
+        return dnn::maxPoolQuant(act, po.r, po.s, po.stride,
+                                 po.samePad);
+      }
+      case dnn::OpKind::AvgPool: {
+        const dnn::PoolOp &po = layer.op.pool;
+        if (functional)
+            return ex->avgPool(act, po.r, po.s, po.stride, po.samePad,
+                               scratch);
+        return dnn::avgPoolQuant(act, po.r, po.s, po.stride,
+                                 po.samePad);
+      }
       case dnn::OpKind::EltwiseAdd:
         nc_panic("eltwise '%s' is a merge, not a chain op (run loop "
                  "bug)", layer.op.name().c_str());
@@ -301,7 +333,7 @@ CompiledModel::runOp(CompiledLayer &layer, dnn::QTensor act,
 
 dnn::QTensor
 CompiledModel::runBranch(const CompiledBranch &branch,
-                         dnn::QTensor input, const ExecContext &ctx)
+                         dnn::QTensor input, uint64_t array_offset)
 {
     // The serial prefix (the trailing eltwise merge, if any, is
     // applied by the caller once the shortcut operand exists).
@@ -312,17 +344,18 @@ CompiledModel::runBranch(const CompiledBranch &branch,
 
     dnn::QTensor act = std::move(input);
     for (size_t i = 0; i < serial; ++i)
-        act = runOp(layers[branch.layerIdx[i]], std::move(act), ctx);
+        act = runOp(layers[branch.layerIdx[i]], std::move(act),
+                    array_offset);
 
     if (branch.splitTail) {
         // The expanded-tower fan-out (Mixed_7b/7c): the last two ops
         // both read the penultimate tensor and their outputs
         // concatenate in op order.
         dnn::QTensor t0 =
-            runOp(layers[branch.layerIdx[n - 2]], act, ctx);
+            runOp(layers[branch.layerIdx[n - 2]], act, array_offset);
         dnn::QTensor t1 =
             runOp(layers[branch.layerIdx[n - 1]], std::move(act),
-                  ctx);
+                  array_offset);
         dnn::QTensor cat(t0.channels() + t1.channels(), t0.height(),
                          t0.width(), t0.params());
         auto &buf = cat.data();
@@ -336,7 +369,7 @@ CompiledModel::runBranch(const CompiledBranch &branch,
 
 dnn::QTensor
 CompiledModel::runLayers(const dnn::QTensor &input,
-                         const ExecContext &ctx)
+                         uint64_t array_offset)
 {
     nc_assert(input.channels() == inC && input.height() == inH &&
                   input.width() == inW,
@@ -351,7 +384,7 @@ CompiledModel::runLayers(const dnn::QTensor &input,
         if (stage.branches.size() == 1 &&
             !stage.branches.front().endsWithEltwise) {
             act = runBranch(stage.branches.front(), std::move(act),
-                            ctx);
+                            array_offset);
             continue;
         }
 
@@ -367,7 +400,7 @@ CompiledModel::runLayers(const dnn::QTensor &input,
         // real task fan-outs a branch's kernels dispatch whenever
         // this loop itself collapsed to inline execution.)
         pool->parallelFor(stage.branches.size(), [&](size_t bi) {
-            outs[bi] = runBranch(stage.branches[bi], in0, ctx);
+            outs[bi] = runBranch(stage.branches[bi], in0, array_offset);
         });
 
         // Residual merges: the eltwise tail adds the shortcut
@@ -382,7 +415,17 @@ CompiledModel::runLayers(const dnn::QTensor &input,
                     ? outs[static_cast<size_t>(stage.shortcutBranch)]
                     : in0;
             CompiledLayer &l = layers[br.layerIdx.back()];
-            outs[bi] = tensorBackend->eltwiseAdd(l, outs[bi], operand, ctx);
+            if (kind == BackendKind::Functional) {
+                nc_assert(l.funcElt.has_value(),
+                          "eltwise '%s' was not prepared for the "
+                          "functional backend", l.op.name().c_str());
+                outs[bi].data() = l.funcElt->run(
+                    outs[bi].data(), operand.data(), array_offset);
+            } else {
+                outs[bi] = dnn::eltwiseAddQuant(outs[bi], operand,
+                                                l.requantMult,
+                                                l.requantShift);
+            }
         }
 
         // Channel-concatenate the non-shortcut branch outputs (CHW is
@@ -540,7 +583,7 @@ CompiledModel::repinLogical(uint64_t logical)
     // Scratch arrays hold no pinned state (kernels write before they
     // read); materializing the substitute is enough.
     if (q >= scratchBase && q < scratchBase + bandPlan.scratchSlots) {
-        cc->array(cc->coordOf(logical));
+        cc->array(logical);
         return;
     }
     for (CompiledLayer &layer : layers) {
@@ -566,7 +609,7 @@ CompiledModel::run(const dnn::QTensor &input)
     if (functional()) {
         unsigned budget = faultCfg.retryBudget;
         for (;;) {
-            res.output = runLayers(input, ExecContext{});
+            res.output = runLayers(input, 0);
             if (!canaryOn || canarySweepAndRepair(budget))
                 break;
             ++nPassRetries; // detected, repaired: recompute
@@ -591,7 +634,7 @@ CompiledModel::ensureImageSlots(unsigned want)
         // fan-out must never mutate the lazy array map.
         if (kind == BackendKind::Functional) {
             for (unsigned i = 0; i < bandPlan.scratchSlots; ++i)
-                cc->array(cc->coordOf(scratchBase + off + i));
+                cc->array(scratchBase + off + i);
         }
         for (CompiledLayer &layer : layers) {
             if (layer.funcConv)
@@ -655,9 +698,8 @@ CompiledModel::runBatch(std::span<const dnn::QTensor> inputs)
             // the leaf kernels, which carry each image's
             // arrayOffset.)
             pool->parallelFor(count, [&](size_t k) {
-                ExecContext ctx{k * bandPlan.perImageArrays};
-                res.outputs[first + k] =
-                    runLayers(inputs[first + k], ctx);
+                res.outputs[first + k] = runLayers(
+                    inputs[first + k], k * bandPlan.perImageArrays);
             });
             if (canaryOn && !canarySweepAndRepair(budget)) {
                 ++nPassRetries;

@@ -8,11 +8,14 @@
  * pinning every conv layer's filters stationary in its own band of
  * arrays. The resulting CompiledModel then answers run()/runBatch()
  * repeatedly without re-planning or re-streaming weights, which is
- * the whole point of the paper's §IV-E amortization argument. It
- * holds only what runs: the §IV-C transposed DRAM image of a conv
- * layer's filters is a modeled artifact no kernel reads, built on
- * demand by mapping::WeightLayout from the layer's op, plan and
- * weights.
+ * the whole point of the paper's §IV-E amortization argument. Every
+ * layer runs on the model's one backend, called directly: a
+ * Functional model runs the Executor's prepared conv and eltwise
+ * kernels and its pool and requantize kernels on the layer's arrays,
+ * a Reference model the dnn::reference loops. It holds only what
+ * runs: the §IV-C transposed DRAM image of a conv layer's filters is
+ * a modeled artifact no kernel reads, built on demand by
+ * mapping::WeightLayout from the layer's op, plan and weights.
  */
 
 #ifndef NC_CORE_COMPILED_MODEL_HH
@@ -264,15 +267,29 @@ class CompiledModel
     friend class Engine;
     CompiledModel();
 
+    /**
+     * Run one image through every stage. @p array_offset names the
+     * image slot's replica (§IV-E): runBatch fans N images over the
+     * pool concurrently, and every image in flight owns a complete
+     * replica of the network's array state — stationary filter bands
+     * and scratch arrays alike — at flat-array offset slot *
+     * perImageArrays. The functional kernels add it to every array
+     * index they touch, so concurrent images never share mutable
+     * arrays and outputs are bit-identical to the serial per-image
+     * loop for any thread count. Slot 0 (offset 0) is the bands the
+     * compile pass placed; run() always executes there. A Reference
+     * model touches no arrays and ignores the offset.
+     */
     dnn::QTensor runLayers(const dnn::QTensor &input,
-                           const ExecContext &ctx);
+                           uint64_t array_offset);
+    /** One chain op on the model's backend: the Functional kernels
+     * or the dnn::reference loops. */
     dnn::QTensor runOp(CompiledLayer &layer, dnn::QTensor act,
-                       const ExecContext &ctx);
+                       uint64_t array_offset);
     /** By value: the fast path moves the activation through; the
      * branch fan-out passes each branch its own copy. */
     dnn::QTensor runBranch(const CompiledBranch &branch,
-                           dnn::QTensor input,
-                           const ExecContext &ctx);
+                           dnn::QTensor input, uint64_t array_offset);
     /**
      * Lazily pin image replicas 1..want-1 (bands + scratch at
      * offset slot * perImageArrays) so a batch can fan @p want
@@ -351,7 +368,6 @@ class CompiledModel
 
     std::unique_ptr<cache::ComputeCache> cc;
     std::unique_ptr<Executor> ex;
-    std::unique_ptr<Backend> tensorBackend; ///< runs every layer
     std::vector<CompiledLayer> layers;
     std::vector<CompiledStage> stages;
 };

@@ -32,7 +32,6 @@ validateOperands(size_t idx, const Instruction &inst)
 {
     switch (inst.op) {
       case Opcode::Copy:
-      case Opcode::CopyInv:
         requireWidth(idx, inst, inst.a, "a");
         requireWidth(idx, inst, inst.out, "out");
         break;
@@ -40,26 +39,19 @@ validateOperands(size_t idx, const Instruction &inst)
         requireWidth(idx, inst, inst.out, "out");
         break;
       case Opcode::Add:
-      case Opcode::Sub:
       case Opcode::Multiply:
       case Opcode::Mac:
-      case Opcode::Divide:
         requireWidth(idx, inst, inst.a, "a");
         requireWidth(idx, inst, inst.b, "b");
         requireWidth(idx, inst, inst.out, "out");
         break;
       case Opcode::ReduceSum:
-      case Opcode::ReduceMax:
-      case Opcode::Relu:
-      case Opcode::ShiftUp:
       case Opcode::ShiftDown:
       case Opcode::Saturate:
       case Opcode::Search:
         requireWidth(idx, inst, inst.a, "a");
         break;
       case Opcode::MaxInto:
-      case Opcode::MinInto:
-      case Opcode::BatchNorm:
         requireWidth(idx, inst, inst.a, "a");
         requireWidth(idx, inst, inst.b, "b");
         break;
@@ -76,19 +68,12 @@ execute(sram::Array &arr, const Instruction &inst)
       case Opcode::Copy:
         bs::copy(arr, inst.a, inst.out, inst.pred);
         return;
-      case Opcode::CopyInv:
-        bs::copyInv(arr, inst.a, inst.out, inst.pred);
-        return;
       case Opcode::Zero:
         bs::zero(arr, inst.out, inst.pred);
         return;
       case Opcode::Add:
         bs::add(arr, inst.a, inst.b, inst.out, inst.zeroRow, inst.pred,
                 inst.carryIn);
-        return;
-      case Opcode::Sub:
-        bs::sub(arr, inst.a, inst.b, inst.out, inst.scratch,
-                inst.zeroRow, inst.pred);
         return;
       case Opcode::Multiply:
         bs::multiply(arr, inst.a, inst.b, inst.out);
@@ -100,35 +85,14 @@ execute(sram::Array &arr, const Instruction &inst)
       case Opcode::ReduceSum:
         bs::reduceSum(arr, inst.a, inst.imm2, inst.imm, inst.scratch);
         return;
-      case Opcode::ReduceMax:
-        bs::reduceMax(arr, inst.a, inst.imm, inst.scratch,
-                      inst.scratch2);
-        return;
       case Opcode::MaxInto:
         bs::maxInto(arr, inst.a, inst.b, inst.scratch);
-        return;
-      case Opcode::MinInto:
-        bs::minInto(arr, inst.a, inst.b, inst.scratch);
-        return;
-      case Opcode::Relu:
-        bs::relu(arr, inst.a);
-        return;
-      case Opcode::ShiftUp:
-        bs::shiftUp(arr, inst.a, inst.imm);
         return;
       case Opcode::ShiftDown:
         bs::shiftDown(arr, inst.a, inst.imm);
         return;
       case Opcode::Saturate:
         bs::saturate(arr, inst.a, inst.imm);
-        return;
-      case Opcode::Divide:
-        bs::divide(arr, inst.a, inst.b, inst.out, inst.scratch,
-                   inst.scratch2, inst.c);
-        return;
-      case Opcode::BatchNorm:
-        bs::batchNorm(arr, inst.a, inst.b, inst.c, inst.imm,
-                      inst.scratch, inst.zeroRow);
         return;
       case Opcode::Search:
         bs::searchKey(arr, inst.a, inst.key);

@@ -5,16 +5,20 @@
  * The intra-slice address bus carries one compute instruction to
  * every bank; a small per-bank FSM (204 um^2) expands it into word
  * line / sense / write-back control sequences. runProgram() models
- * that FSM on one array. The expansion of a multiply, MAC or sum
- * reduction may run as one fused pass over the array's words
- * (bitserial/alu.hh) — same rows, latches and cycle charge as the
- * micro-op sequence; the instruction stream and the cycle check
- * below are unchanged. runProgram() is the only way conv windows, eltwise
- * merges and max-pool folds touch an array: the functional kernels
- * run the very streams the static verifier (program_verify.hh)
- * proves. A conv pass hands it a group array whose members are the
- * pass's arrays side by side, so one call drives them all in
- * lockstep, the identical stream reaching every array.
+ * that FSM on one array. It decodes exactly the opcodes of
+ * core::Opcode: the moves, addition, multiplication, MAC, reduction,
+ * max fold, shift and clamp the kernels emit, plus the Search and
+ * LoadTag tag producers that predicated write-back needs. The
+ * expansion of a multiply, MAC or sum reduction may run as one fused
+ * pass over the array's words (bitserial/alu.hh) — same rows,
+ * latches and cycle charge as the micro-op sequence; the instruction
+ * stream and the cycle check below are unchanged. runProgram() is
+ * the only way conv windows, eltwise merges and max-pool folds touch
+ * an array: the functional kernels run the very streams the static
+ * verifier (program_verify.hh) proves. A conv pass hands it a group
+ * array whose members are the pass's arrays side by side, so one
+ * call drives them all in lockstep, the identical stream reaching
+ * every array.
  *
  * Each run checks itself against the verifier: the cycles an
  * instruction's expansion charged must equal the static cycle model

@@ -85,6 +85,32 @@ Engine::compile(const dnn::Network &net,
 {
     nc_assert(!net.stages.empty(), "Engine::compile: empty network "
               "'%s'", net.name.c_str());
+    // Degenerate shapes die here, before any backend-specific work:
+    // a zero extent would divide by zero in a kernel, price nonsense
+    // analytically, or silently shape a reference tensor.
+    for (const auto &stage : net.stages) {
+        for (const auto &branch : stage.branches) {
+            for (const auto &op : branch.ops) {
+                if (op.isConv()) {
+                    const dnn::ConvOp &co = op.conv;
+                    nc_assert(co.c > 0 && co.h > 0 && co.w > 0 &&
+                                  co.m > 0 && co.r > 0 && co.s > 0 &&
+                                  co.stride > 0,
+                              "conv '%s': degenerate shape",
+                              co.name.c_str());
+                } else if (op.isPool()) {
+                    const dnn::PoolOp &po = op.pool;
+                    nc_assert(po.c > 0 && po.h > 0 && po.w > 0 &&
+                                  po.r > 0 && po.s > 0 &&
+                                  po.stride > 0,
+                              "pool '%s': degenerate shape (%ux%ux%u "
+                              "input, %ux%u window, stride %u)",
+                              po.name.c_str(), po.c, po.h, po.w, po.r,
+                              po.s, po.stride);
+                }
+            }
+        }
+    }
 
     CompiledModel m;
     m.net = net;
@@ -236,10 +262,6 @@ Engine::compile(const dnn::Network &net,
 
                 if (op.isConv()) {
                     const dnn::ConvOp &co = op.conv;
-                    nc_assert(co.c > 0 && co.m > 0 && co.r > 0 &&
-                                  co.s > 0,
-                              "conv '%s': degenerate shape",
-                              co.name.c_str());
                     // Only the bit-serial kernels map onto arrays;
                     // the reference backend runs CPU loops of any
                     // shape.
@@ -325,16 +347,13 @@ Engine::compile(const dnn::Network &net,
     // first placement, over the BIST survivors.
     m.placeAndPrepare(false);
 
-    // 3. The one tensor backend every layer runs on.
-    m.tensorBackend = makeBackend(opts.backend, m.ex.get());
-
-    // 4. The static band-plan audit: prove every concurrently-live
+    // 3. The static band-plan audit: prove every concurrently-live
     //    range disjoint and in-bounds before the model can run.
     //    Unconditional — a placement bug must die here, with names,
     //    not as a corrupted activation ten layers later.
     mapping::auditPlanOrDie(m);
 
-    // 5. The static program verifier: abstractly interpret every
+    // 4. The static program verifier: abstractly interpret every
     //    prepared layer's instruction stream (bounds, dataflow,
     //    guard row, latch discipline) and prove its cycle sum equals
     //    the analytic charge bit-exact. Unconditional, like the

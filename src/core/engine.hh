@@ -11,7 +11,7 @@
  *     auto rep = model.report(64);         // batch-64 timing, free
  *
  * One Engine owns one common::ThreadPool; every model it compiles
- * (and the one backend behind each) shares it. Weights come from an
+ * shares it. Weights come from an
  * explicit ModelWeights map or, for synthetic studies, are generated
  * deterministically from options().weightSeed.
  */
@@ -69,12 +69,14 @@ class Engine
     common::ThreadPool &threadPool() { return *pool; }
 
     /**
-     * Compile @p net: validate the topology, run quantization
+     * Compile @p net for options().backend, the one backend every
+     * layer runs on: validate the topology, run quantization
      * calibration, mapping/tiling, and per-layer program
-     * construction exactly once, and make the one tensor backend
-     * (options().backend) every layer runs on. @p weights names
-     * filter banks by layer; layers without one get deterministic
-     * seeded random filters. The network must be non-empty. The
+     * construction exactly once. A degenerate conv or pool shape (a
+     * zero extent, window or stride) dies naming the layer on every
+     * backend. @p weights names filter banks by layer; layers
+     * without one get deterministic seeded random filters. The
+     * network must be non-empty. The
      * per-layer weight preparation (bank, plan, requant scalars)
      * fans out over the engine's pool with results identical at any
      * thread count, and several threads may compile on one Engine at

@@ -34,13 +34,9 @@ namespace
  */
 constexpr size_t kMaxGroupArrays = 64;
 
-/** The array the per-call helpers without an explicit one scribble
- * on (see Executor). */
-constexpr uint64_t kHelperScratch = 0;
-
 /**
  * The calling thread's group array of @p members arrays of @p rows x
- * @p cols, task-private and untagged like maxPoolAt's window arrays.
+ * @p cols, task-private and untagged like maxPool's window arrays.
  * It persists across passes and layers: a pass's near-even split
  * hands one worker groups of two adjacent sizes, so the two most
  * recent shapes stay cached. Every member's rows and latches are
@@ -126,7 +122,7 @@ Executor::prepareConv(const dnn::QWeights &w, unsigned stride,
     // Materialize every band array up front: the parallel regions
     // (here and in run()) must not mutate the lazy array map.
     for (uint64_t i = 0; i < p.band; ++i)
-        cc.array(cc.coordOf(base_array + i));
+        cc.array(base_array + i);
 
     // Filters are stationary for the lifetime of the prepared layer
     // (the §IV-C transposed preprocessing, paid exactly once) —
@@ -151,7 +147,7 @@ Executor::PreparedConv::pinReplica(const dnn::QWeights &w,
     // Materialize the replica band up front: the image fan-out must
     // never mutate the lazy array map.
     for (uint64_t i = 0; i < band; ++i)
-        cc.array(cc.coordOf(base + array_offset + i));
+        cc.array(base + array_offset + i);
     storeFilters(w, 0, m, array_offset);
 }
 
@@ -177,7 +173,7 @@ Executor::PreparedConv::storeFilters(const dnn::QWeights &w,
         unsigned mi = first_batch + static_cast<unsigned>(t / chunks);
         unsigned ch = static_cast<unsigned>(t % chunks);
         sram::Array &arr =
-            cc.array(cc.coordOf(base + array_offset + t));
+            cc.array(base + array_offset + t);
         unsigned c0 = ch * fplan.chunkChannels;
         unsigned c1 = std::min(c, c0 + fplan.chunkChannels);
 
@@ -339,7 +335,7 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
             part.assign(tasks * win, 0);
 
         auto member = [&](size_t t) -> sram::Array & {
-            return cc.array(cc.coordOf(base + array_offset + t));
+            return cc.array(base + array_offset + t);
         };
         auto emit = [&](size_t t, unsigned y, unsigned x, uint64_t sum) {
             size_t at = static_cast<size_t>(y) * ow + x;
@@ -499,15 +495,8 @@ Executor::fc(const std::vector<uint8_t> &in, const dnn::QWeights &w)
 
 dnn::QTensor
 Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
-                  unsigned stride, bool same_pad)
-{
-    return maxPoolAt(kHelperScratch, in, r, s, stride, same_pad);
-}
-
-dnn::QTensor
-Executor::maxPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
-                    unsigned r, unsigned s, unsigned stride,
-                    bool same_pad)
+                  unsigned stride, bool same_pad,
+                  uint64_t scratch_array)
 {
     unsigned cols = cc.geometry().arrayCols;
     unsigned arows = cc.geometry().arrayRows;
@@ -538,7 +527,7 @@ Executor::maxPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
         cc.ownershipRegistry(),
         sram::ownership::Range{scratch_array, 1}, 0,
         "maxPool kernel");
-    sram::Array &model = cc.array(cc.coordOf(scratch_array));
+    sram::Array &model = cc.array(scratch_array);
     size_t windows = static_cast<size_t>(oh) * ow * cpasses;
     size_t chunks = std::min<size_t>(pool.size(), windows);
     std::vector<std::pair<uint64_t, uint64_t>> charged(
@@ -604,22 +593,8 @@ Executor::maxPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
 
 dnn::QTensor
 Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
-                  unsigned stride)
-{
-    return avgPoolAt(kHelperScratch, in, r, s, stride, false);
-}
-
-dnn::QTensor
-Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
-                  unsigned stride, bool same_pad)
-{
-    return avgPoolAt(kHelperScratch, in, r, s, stride, same_pad);
-}
-
-dnn::QTensor
-Executor::avgPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
-                    unsigned r, unsigned s, unsigned stride,
-                    bool same_pad)
+                  unsigned stride, bool same_pad,
+                  uint64_t scratch_array)
 {
     const unsigned bits = 8;
     const unsigned acc_bits = 2 * bits;
@@ -640,7 +615,7 @@ Executor::avgPoolAt(uint64_t scratch_array, const dnn::QTensor &in,
     unsigned ph = padBefore(in.height(), r, stride, same_pad);
     unsigned pw = padBefore(in.width(), s, stride, same_pad);
 
-    sram::Array &arr = cc.array(cc.coordOf(scratch_array));
+    sram::Array &arr = cc.array(scratch_array);
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice cur = rows.alloc(bits);
     bs::VecSlice acc = rows.alloc(acc_bits);
@@ -730,7 +705,7 @@ Executor::minMax(const std::vector<uint64_t> &vals, unsigned bits)
     unsigned lanes =
         static_cast<unsigned>(roundUpPow2(vals.size()));
 
-    sram::Array &arr = cc.array(cc.coordOf(kHelperScratch));
+    sram::Array &arr = cc.array(kHelperScratch);
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice mx = rows.alloc(bits);
     bs::VecSlice mn = rows.alloc(bits);
@@ -752,21 +727,13 @@ Executor::minMax(const std::vector<uint64_t> &vals, unsigned bits)
 
 std::vector<uint8_t>
 Executor::requantize(const std::vector<uint32_t> &acc, uint8_t mult,
-                     unsigned shift)
-{
-    return requantizeAt(kHelperScratch, acc, mult, shift);
-}
-
-std::vector<uint8_t>
-Executor::requantizeAt(uint64_t scratch_array,
-                       const std::vector<uint32_t> &acc, uint8_t mult,
-                       unsigned shift)
+                     unsigned shift, uint64_t scratch_array)
 {
     const unsigned vbits = 32;
     const unsigned gbits = 8;
     unsigned cols = cc.geometry().arrayCols;
 
-    sram::Array &arr = cc.array(cc.coordOf(scratch_array));
+    sram::Array &arr = cc.array(scratch_array);
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice v = rows.alloc(vbits);
     bs::VecSlice g = rows.alloc(gbits);
@@ -803,7 +770,7 @@ Executor::prepareEltwise(uint8_t mult, unsigned shift,
     p.mult = mult;
     p.sh = shift;
     p.scratch = scratch_array;
-    cc.array(cc.coordOf(scratch_array)); // materialize up front
+    cc.array(scratch_array); // materialize up front
 
     // Row carve-up and merge program, fixed once: the shared
     // mapping-layer map (two operand bytes, the 9-bit sum, the
@@ -834,7 +801,7 @@ Executor::PreparedEltwise::run(const std::vector<uint8_t> &a,
         cc.ownershipRegistry(),
         sram::ownership::Range{scratch + array_offset, 1}, 0,
         "eltwise merge kernel");
-    sram::Array &arr = cc.array(cc.coordOf(scratch + array_offset));
+    sram::Array &arr = cc.array(scratch + array_offset);
 
     // The multiplier is one broadcast scalar per run (other layers
     // may have scribbled on the scratch array in between).
@@ -877,7 +844,7 @@ Executor::relu(const std::vector<uint8_t> &vals)
     nc_assert(vals.size() <= cols, "relu: %zu values exceed %u lanes",
               vals.size(), cols);
 
-    sram::Array &arr = cc.array(cc.coordOf(kHelperScratch));
+    sram::Array &arr = cc.array(kHelperScratch);
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice v = rows.alloc(bits);
 

@@ -70,14 +70,18 @@ namespace nc::core
 {
 
 /**
- * Executes quantized layers on compute-cache arrays. The per-call
- * helpers that name no array (maxPool, avgPool, minMax, requantize,
- * eltwiseAdd, relu) scribble on array 0; the *At forms and the
- * prepared kernels run on the arrays their caller names.
+ * Executes quantized layers on compute-cache arrays. The pool and
+ * requantize kernels run on the scratch array their caller names
+ * (kHelperScratch when it names none); minMax, eltwiseAdd and relu
+ * always scribble on kHelperScratch, and the prepared kernels run on
+ * the arrays their caller placed.
  */
 class Executor
 {
   public:
+    /** The scratch array of a kernel call that names none. */
+    static constexpr uint64_t kHelperScratch = 0;
+
     /** @param nthreads worker threads (0 = NC_THREADS / hardware). */
     explicit Executor(cache::ComputeCache &cc_, unsigned nthreads = 0)
         : cc(cc_),
@@ -284,39 +288,26 @@ class Executor
      * Max pooling through bit-serial compare/select: each window runs
      * a prefix of the full-window fold program, one instruction per
      * valid element (SAME-padded edge windows run shorter prefixes).
+     * The cycles are charged to @p scratch_array (parallel branches
+     * give each branch its own so their charges stay disjoint).
      */
     dnn::QTensor maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
-                         unsigned stride, bool same_pad);
-
-    /** maxPool on an explicit scratch array (parallel branches give
-     * each branch its own so their cycle charges stay disjoint). */
-    dnn::QTensor maxPoolAt(uint64_t scratch_array,
-                           const dnn::QTensor &in, unsigned r,
-                           unsigned s, unsigned stride, bool same_pad);
+                         unsigned stride, bool same_pad,
+                         uint64_t scratch_array = kHelperScratch);
 
     /**
-     * Average pooling: bit-serial window summation followed by
-     * in-array division (a shift when the window is a power of two,
-     * restoring division otherwise — paper §IV-D notes Inception's
-     * divisors are 4 bits). VALID windows, matching Inception's 8x8
-     * head.
+     * Average pooling on @p scratch_array: bit-serial window
+     * summation followed by in-array division (a shift when the
+     * window is a power of two, restoring division otherwise — paper
+     * §IV-D notes Inception's divisors are 4 bits). VALID windows by
+     * default, matching Inception's 8x8 head; with TF SAME padding
+     * partial windows divide by their valid-element count (padding
+     * excluded), the divisor streamed per window — what Inception's
+     * in-block 3x3/1 average pools need.
      */
     dnn::QTensor avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
-                         unsigned stride);
-
-    /**
-     * Average pooling with optional TF SAME padding: partial windows
-     * divide by their valid-element count (padding excluded), the
-     * divisor streamed per window — what Inception's in-block 3x3/1
-     * average pools need.
-     */
-    dnn::QTensor avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
-                         unsigned stride, bool same_pad);
-
-    /** avgPool on an explicit scratch array. */
-    dnn::QTensor avgPoolAt(uint64_t scratch_array,
-                           const dnn::QTensor &in, unsigned r,
-                           unsigned s, unsigned stride, bool same_pad);
+                         unsigned stride, bool same_pad = false,
+                         uint64_t scratch_array = kHelperScratch);
 
     /** ReLU on int8-style values stored as two's complement bytes. */
     std::vector<uint8_t> relu(const std::vector<uint8_t> &vals);
@@ -330,19 +321,17 @@ class Executor
         const std::vector<uint64_t> &vals, unsigned bits);
 
     /**
-     * In-cache requantization (§IV-D): q = (acc * mult) >> shift for
-     * every accumulator, via bit-serial multiply and shift, with the
-     * CPU-provided 8-bit multiplier broadcast to every lane. The
-     * result is truncated (the hardware sequence has no rounding
-     * add) and saturated to 8 bits on read-out.
+     * In-cache requantization (§IV-D) on @p scratch_array: q = (acc *
+     * mult) >> shift for every accumulator, via bit-serial multiply
+     * and shift, with the CPU-provided 8-bit multiplier broadcast to
+     * every lane. The result is truncated (the hardware sequence has
+     * no rounding add) and saturated to 8 bits in the array. Ground
+     * truth: dnn::requantQuant.
      */
     std::vector<uint8_t> requantize(const std::vector<uint32_t> &acc,
-                                    uint8_t mult, unsigned shift);
-
-    /** requantize on an explicit scratch array. */
-    std::vector<uint8_t> requantizeAt(uint64_t scratch_array,
-                                      const std::vector<uint32_t> &acc,
-                                      uint8_t mult, unsigned shift);
+                                    uint8_t mult, unsigned shift,
+                                    uint64_t scratch_array =
+                                        kHelperScratch);
 
     /** Lock-step compute cycles consumed so far. */
     uint64_t lockstepCycles() const { return cc.lockstepCycles(); }

@@ -9,38 +9,22 @@ opcodeName(Opcode op)
     switch (op) {
       case Opcode::Copy:
         return "copy";
-      case Opcode::CopyInv:
-        return "copyinv";
       case Opcode::Zero:
         return "zero";
       case Opcode::Add:
         return "add";
-      case Opcode::Sub:
-        return "sub";
       case Opcode::Multiply:
         return "multiply";
       case Opcode::Mac:
         return "mac";
       case Opcode::ReduceSum:
         return "reducesum";
-      case Opcode::ReduceMax:
-        return "reducemax";
       case Opcode::MaxInto:
         return "maxinto";
-      case Opcode::MinInto:
-        return "mininto";
-      case Opcode::Relu:
-        return "relu";
-      case Opcode::ShiftUp:
-        return "shiftup";
       case Opcode::ShiftDown:
         return "shiftdown";
       case Opcode::Saturate:
         return "saturate";
-      case Opcode::Divide:
-        return "divide";
-      case Opcode::BatchNorm:
-        return "batchnorm";
       case Opcode::Search:
         return "search";
       case Opcode::LoadTag:
@@ -86,19 +70,6 @@ Instruction::add(bitserial::VecSlice a, bitserial::VecSlice b,
 }
 
 Instruction
-Instruction::sub(bitserial::VecSlice a, bitserial::VecSlice b,
-                 bitserial::VecSlice out, bitserial::VecSlice scratch)
-{
-    Instruction i;
-    i.op = Opcode::Sub;
-    i.a = a;
-    i.b = b;
-    i.out = out;
-    i.scratch = scratch;
-    return i;
-}
-
-Instruction
 Instruction::multiply(bitserial::VecSlice a, bitserial::VecSlice b,
                       bitserial::VecSlice out)
 {
@@ -135,15 +106,6 @@ Instruction::reduceSum(bitserial::VecSlice acc, unsigned w0,
     i.scratch = scratch;
     i.imm = lanes;
     i.imm2 = w0;
-    return i;
-}
-
-Instruction
-Instruction::relu(bitserial::VecSlice a)
-{
-    Instruction i;
-    i.op = Opcode::Relu;
-    i.a = a;
     return i;
 }
 

@@ -27,33 +27,29 @@ namespace nc::core
 {
 
 /**
- * Macro-opcodes the bank FSM can expand. Latch effects matter to
- * program legality (program_verify.hh polices them statically):
- * Add/Sub leave the lane carry latches holding the final carry-out;
- * Search and LoadTag define the tag latches; and every multi-step op
- * that runs its own internal compare/carry sequence (Multiply, Mac,
- * MaxInto, MinInto, Relu, Saturate, Divide, BatchNorm, ReduceMax)
- * clobbers both latch sets on the way through.
+ * Macro-opcodes the bank FSM can expand: the §IV-F moves, addition,
+ * multiplication and reduction the kernels emit (conv windows,
+ * eltwise merges, max-pool folds), plus the two tag producers that
+ * predicated write-back needs. Latch effects matter to program
+ * legality (program_verify.hh polices them statically): Add leaves
+ * the lane carry latches holding the final carry-out; Search and
+ * LoadTag define the tag latches; Multiply, Mac and MaxInto run
+ * their own internal carry/compare sequences and clobber both latch
+ * sets on the way through; a multi-step ReduceSum clobbers the carry
+ * latches and Saturate the tag latches. Copy, Zero and ShiftDown
+ * leave both untouched.
  */
 enum class Opcode
 {
     Copy,      ///< out <= a (honors pred)
-    CopyInv,   ///< out <= ~a (honors pred)
     Zero,      ///< out <= 0 (honors pred)
     Add,       ///< out <= a + b (honors pred/carryIn; defines carry)
-    Sub,       ///< out <= a - b (scratch: b.bits; honors pred)
     Multiply,  ///< out <= a * b (out = a.bits + b.bits)
     Mac,       ///< out += a * b through scratch (Fig 10 flow)
     ReduceSum, ///< lane-tree sum over imm lanes (a live in low bits)
-    ReduceMax, ///< lane-tree max over imm lanes
     MaxInto,   ///< a <= max(a, b) (scratch: compare band)
-    MinInto,   ///< a <= min(a, b) (scratch: compare band)
-    Relu,      ///< a <= max(a, 0), two's complement
-    ShiftUp,   ///< a <<= imm
     ShiftDown, ///< a >>= imm
     Saturate,  ///< a <= min(a, 2^imm - 1) (the §IV-D clamp)
-    Divide,    ///< out <= a / b (scratch, scratch2, c as dwork)
-    BatchNorm, ///< a <= ((a * b) >> imm) + c (paper §IV-D)
     Search,    ///< tag <= (a == key)
     LoadTag,   ///< tag <= row a.base
 };
@@ -66,11 +62,9 @@ struct Instruction
     Opcode op = Opcode::Zero;
     bitserial::VecSlice a;       ///< first operand / in-place target
     bitserial::VecSlice b;       ///< second operand
-    bitserial::VecSlice c;       ///< BatchNorm beta / Divide dwork
     bitserial::VecSlice out;     ///< destination
-    bitserial::VecSlice scratch; ///< primary scratch band
-    bitserial::VecSlice scratch2; ///< secondary scratch band
-    unsigned imm = 0;            ///< lanes / shift amount
+    bitserial::VecSlice scratch; ///< product / compare / tree band
+    unsigned imm = 0;            ///< lanes / shift / clamp width
     unsigned imm2 = 0;           ///< ReduceSum live width w0
     uint64_t key = 0;            ///< Search key
     unsigned zeroRow = bitserial::kNoRow;
@@ -87,9 +81,6 @@ struct Instruction
                            bitserial::VecSlice out,
                            unsigned zero_row = bitserial::kNoRow,
                            bool carry_in = false);
-    static Instruction sub(bitserial::VecSlice a, bitserial::VecSlice b,
-                           bitserial::VecSlice out,
-                           bitserial::VecSlice scratch);
     static Instruction multiply(bitserial::VecSlice a,
                                 bitserial::VecSlice b,
                                 bitserial::VecSlice out);
@@ -100,7 +91,6 @@ struct Instruction
     static Instruction reduceSum(bitserial::VecSlice acc, unsigned w0,
                                  unsigned lanes,
                                  bitserial::VecSlice scratch);
-    static Instruction relu(bitserial::VecSlice a);
     static Instruction search(bitserial::VecSlice a, uint64_t key);
     static Instruction shiftDown(bitserial::VecSlice a, unsigned k);
     static Instruction saturate(bitserial::VecSlice a,

@@ -190,7 +190,7 @@ class Interpreter
     {
         if (carry != Latch::Valid)
             nc_fatal("%s: carry-in consumes the carry latches, but no "
-                     "live Add/Sub precedes it (carry clobbered or "
+                     "live Add precedes it (carry clobbered or "
                      "never defined)", where().c_str());
     }
 
@@ -213,10 +213,9 @@ Interpreter::step(const Instruction &inst)
     // The pred and carryIn flags only mean something to the ops whose
     // micro-sequences thread them through; anywhere else they are a
     // malformed encoding, not a silent no-op.
-    const bool predicable =
-        inst.op == Opcode::Copy || inst.op == Opcode::CopyInv ||
-        inst.op == Opcode::Zero || inst.op == Opcode::Add ||
-        inst.op == Opcode::Sub;
+    const bool predicable = inst.op == Opcode::Copy ||
+                            inst.op == Opcode::Zero ||
+                            inst.op == Opcode::Add;
     if (inst.pred && !predicable)
         nc_fatal("%s: pred set on an opcode with no predicated "
                  "write-back", where().c_str());
@@ -227,8 +226,7 @@ Interpreter::step(const Instruction &inst)
                  "the carry latches", where().c_str());
 
     switch (inst.op) {
-      case Opcode::Copy:
-      case Opcode::CopyInv: {
+      case Opcode::Copy: {
         boundsOrDie(inst.a, "a");
         boundsOrDie(inst.out, "out");
         if (inst.out.bits < inst.a.bits)
@@ -265,33 +263,6 @@ Interpreter::step(const Instruction &inst)
         readOrDie(inst.b, "b");
         write(inst.out, "out", inst.pred);
         carry = Latch::Valid; // holds the final carry-out
-        break;
-      }
-      case Opcode::Sub: {
-        boundsOrDie(inst.a, "a");
-        boundsOrDie(inst.b, "b");
-        boundsOrDie(inst.out, "out");
-        boundsOrDie(inst.scratch, "scratch");
-        if (inst.a.bits != inst.b.bits)
-            nc_fatal("%s: sub requires equal widths (a %u, b %u)",
-                     where().c_str(), inst.a.bits, inst.b.bits);
-        if (inst.scratch.bits < inst.b.bits)
-            nc_fatal("%s: sub scratch [%u,+%u) narrower than b (%u "
-                     "bits)", where().c_str(), inst.scratch.base,
-                     inst.scratch.bits, inst.b.bits);
-        const unsigned n = inst.a.bits;
-        if (inst.out.bits != n && inst.out.bits != n + 1)
-            nc_fatal("%s: sub output %u bits for %u-bit operands",
-                     where().c_str(), inst.out.bits, n);
-        const bs::VecSlice inv = inst.scratch.slice(0, inst.b.bits);
-        aliasOrDie(inv, inst.b, "b");
-        aliasOrDie(inst.out, inst.a, "a");
-        aliasOrDie(inst.out, inv, "scratch");
-        readOrDie(inst.a, "a");
-        readOrDie(inst.b, "b");
-        write(inv, "scratch", inst.pred);
-        write(inst.out, "out", inst.pred);
-        carry = Latch::Valid;
         break;
       }
       case Opcode::Multiply: {
@@ -373,30 +344,7 @@ Interpreter::step(const Instruction &inst)
         }
         break;
       }
-      case Opcode::ReduceMax: {
-        const unsigned lanes = inst.imm;
-        if (lanes == 0 || !isPow2(lanes))
-            nc_fatal("%s: lanes %u not a power of two",
-                     where().c_str(), lanes);
-        boundsOrDie(inst.a, "data");
-        readOrDie(inst.a, "data");
-        if (lanes > 1) {
-            boundsOrDie(inst.scratch, "move scratch");
-            boundsOrDie(inst.scratch2, "compare scratch");
-            if (inst.scratch.bits < inst.a.bits ||
-                inst.scratch2.bits < inst.a.bits)
-                nc_fatal("%s: scratch narrower than the %u-bit data",
-                         where().c_str(), inst.a.bits);
-            write(inst.a, "data");
-            write(inst.scratch.slice(0, inst.a.bits), "move scratch");
-            write(inst.scratch2.slice(0, inst.a.bits),
-                  "compare scratch");
-            carry = tag = Latch::Clobbered;
-        }
-        break;
-      }
-      case Opcode::MaxInto:
-      case Opcode::MinInto: {
+      case Opcode::MaxInto: {
         boundsOrDie(inst.a, "a");
         boundsOrDie(inst.b, "b");
         boundsOrDie(inst.scratch, "scratch");
@@ -419,14 +367,6 @@ Interpreter::step(const Instruction &inst)
         carry = tag = Latch::Clobbered;
         break;
       }
-      case Opcode::Relu: {
-        boundsOrDie(inst.a, "a");
-        readOrDie(inst.a, "a");
-        write(inst.a, "a", /*pred=*/true); // sign-predicated zero
-        tag = Latch::Clobbered;
-        break;
-      }
-      case Opcode::ShiftUp:
       case Opcode::ShiftDown: {
         boundsOrDie(inst.a, "a");
         readOrDie(inst.a, "a");
@@ -441,61 +381,6 @@ Interpreter::step(const Instruction &inst)
         readOrDie(inst.a, "a");
         write(inst.a.slice(0, inst.imm), "a", /*pred=*/true);
         tag = Latch::Clobbered;
-        break;
-      }
-      case Opcode::Divide: {
-        boundsOrDie(inst.a, "num");
-        boundsOrDie(inst.b, "den");
-        boundsOrDie(inst.out, "quot");
-        boundsOrDie(inst.scratch, "rwork");
-        boundsOrDie(inst.scratch2, "twork");
-        boundsOrDie(inst.c, "dwork");
-        const unsigned n = inst.a.bits, d = inst.b.bits;
-        if (inst.out.bits < n)
-            nc_fatal("%s: quotient [%u,+%u) too narrow for a %u-bit "
-                     "dividend", where().c_str(), inst.out.base,
-                     inst.out.bits, n);
-        if (inst.scratch.bits < n + d)
-            nc_fatal("%s: rwork needs %u rows, have [%u,+%u)",
-                     where().c_str(), n + d, inst.scratch.base,
-                     inst.scratch.bits);
-        if (inst.scratch2.bits < d + 1 || inst.c.bits < d + 1)
-            nc_fatal("%s: t/d work bands need %u rows",
-                     where().c_str(), d + 1);
-        readOrDie(inst.a, "num");
-        readOrDie(inst.b, "den");
-        write(inst.scratch.slice(0, n + d), "rwork");
-        write(inst.c.slice(0, d + 1), "dwork");
-        write(inst.scratch2.slice(0, d + 1), "twork");
-        write(inst.out.slice(0, n), "quot");
-        carry = tag = Latch::Clobbered;
-        break;
-      }
-      case Opcode::BatchNorm: {
-        boundsOrDie(inst.a, "val");
-        boundsOrDie(inst.b, "gamma");
-        boundsOrDie(inst.c, "beta");
-        boundsOrDie(inst.scratch, "prod");
-        if (inst.c.bits != inst.a.bits)
-            nc_fatal("%s: beta width %u must match the %u-bit value",
-                     where().c_str(), inst.c.bits, inst.a.bits);
-        if (inst.scratch.bits != inst.a.bits + inst.b.bits)
-            nc_fatal("%s: product band needs %u rows, have [%u,+%u)",
-                     where().c_str(), inst.a.bits + inst.b.bits,
-                     inst.scratch.base, inst.scratch.bits);
-        if (inst.imm + inst.a.bits > inst.scratch.bits)
-            nc_fatal("%s: shift %u pushes the window past the "
-                     "product", where().c_str(), inst.imm);
-        if (inst.scratch.overlaps(inst.a) ||
-            inst.scratch.overlaps(inst.b))
-            nc_fatal("%s: product band overlaps an operand",
-                     where().c_str());
-        readOrDie(inst.a, "val");
-        readOrDie(inst.b, "gamma");
-        readOrDie(inst.c, "beta");
-        write(inst.scratch, "prod");
-        write(inst.a, "val");
-        carry = tag = Latch::Clobbered;
         break;
       }
       case Opcode::Search: {
@@ -647,7 +532,6 @@ instructionCycles(const Instruction &inst,
 {
     switch (inst.op) {
       case Opcode::Copy:
-      case Opcode::CopyInv:
         return bs::implCopyCycles(inst.a.bits);
       case Opcode::Zero:
         return bs::implCopyCycles(inst.out.bits);
@@ -655,10 +539,6 @@ instructionCycles(const Instruction &inst,
         const unsigned n = std::max(inst.a.bits, inst.b.bits);
         return bs::implAddCycles(n, inst.out.bits == n + 1);
       }
-      case Opcode::Sub:
-        return bs::implCopyCycles(inst.b.bits) +
-               bs::implAddCycles(inst.a.bits,
-                                 inst.out.bits == inst.a.bits + 1);
       case Opcode::Multiply:
         return bs::implMulCycles(inst.a.bits, inst.b.bits);
       case Opcode::Mac:
@@ -670,23 +550,12 @@ instructionCycles(const Instruction &inst,
       case Opcode::ReduceSum:
         return bs::implReduceSumCycles(inst.imm2, inst.imm,
                                        alu.moveCyclesPerRow);
-      case Opcode::ReduceMax:
-        return bs::implReduceMaxCycles(inst.a.bits, inst.imm,
-                                       alu.moveCyclesPerRow);
       case Opcode::MaxInto:
-      case Opcode::MinInto:
         return bs::implMaxCycles(inst.a.bits);
-      case Opcode::Relu:
-        return bs::implReluCycles(inst.a.bits);
-      case Opcode::ShiftUp:
       case Opcode::ShiftDown:
         return bs::implShiftCycles(inst.a.bits);
       case Opcode::Saturate:
         return bs::implSaturateCycles(inst.a.bits, inst.imm);
-      case Opcode::Divide:
-        return bs::implDivCycles(inst.a.bits, inst.b.bits);
-      case Opcode::BatchNorm:
-        return bs::implBatchNormCycles(inst.a.bits, inst.b.bits);
       case Opcode::Search:
         return inst.a.bits;
       case Opcode::LoadTag:

@@ -296,6 +296,20 @@ avgPoolQuant(const QTensor &in, unsigned r, unsigned s, unsigned stride,
 }
 
 std::vector<uint8_t>
+requantQuant(const std::vector<uint32_t> &acc, uint8_t mult,
+             unsigned shift)
+{
+    // Integer-exact mirror of the in-array sequence: multiply,
+    // truncating shift, saturate to 8 bits.
+    std::vector<uint8_t> out(acc.size());
+    for (size_t i = 0; i < acc.size(); ++i) {
+        uint64_t t = (static_cast<uint64_t>(acc[i]) * mult) >> shift;
+        out[i] = static_cast<uint8_t>(t > 0xff ? 0xff : t);
+    }
+    return out;
+}
+
+std::vector<uint8_t>
 eltwiseAddQuant(const std::vector<uint8_t> &a,
                 const std::vector<uint8_t> &b, uint8_t mult,
                 unsigned shift)

@@ -137,6 +137,15 @@ QTensor avgPoolQuant(const QTensor &in, unsigned r, unsigned s,
                      unsigned stride, bool same_pad);
 
 /**
+ * Requantize raw accumulators to bytes (§IV-D fixed point): q =
+ * sat8((acc * mult) >> shift) per element, truncating, with
+ * compile-time calibrated scalars — the oracle the in-array
+ * requantizer (core::Executor::requantize) is pinned to.
+ */
+std::vector<uint8_t> requantQuant(const std::vector<uint32_t> &acc,
+                                  uint8_t mult, unsigned shift);
+
+/**
  * Quantized residual merge (§IV-D fixed point): out = sat8(((a + b) *
  * mult) >> shift) per element, with compile-time calibrated scalars —
  * the oracle the bit-serial eltwise kernel is pinned to.

@@ -7,52 +7,29 @@
 namespace
 {
 
-using nc::cache::ArrayCoord;
 using nc::cache::ComputeCache;
 using nc::cache::Geometry;
-
-TEST(ComputeCache, FlatIndexRoundTrip)
-{
-    ComputeCache cc;
-    const Geometry &g = cc.geometry();
-    for (uint64_t flat :
-         {uint64_t(0), uint64_t(1), uint64_t(319), uint64_t(320),
-          uint64_t(g.totalArrays() - 1)}) {
-        ArrayCoord c = cc.coordOf(flat);
-        EXPECT_EQ(cc.flatIndex(c), flat);
-    }
-}
-
-TEST(ComputeCache, CoordDecomposition)
-{
-    ComputeCache cc;
-    ArrayCoord c = cc.coordOf(320); // first array of slice 1
-    EXPECT_EQ(c.slice, 1u);
-    EXPECT_EQ(c.way, 0u);
-    EXPECT_EQ(c.bank, 0u);
-    EXPECT_EQ(c.array, 0u);
-}
 
 TEST(ComputeCache, LazyMaterialization)
 {
     ComputeCache cc;
     EXPECT_EQ(cc.materializedCount(), 0u);
-    ArrayCoord c{0, 1, 2, 3};
-    EXPECT_FALSE(cc.materialized(c));
-    auto &arr = cc.array(c);
-    EXPECT_TRUE(cc.materialized(c));
+    const uint64_t flat = 27; // slice 0, way 1, bank 2, array 3
+    EXPECT_EQ(cc.peekArray(flat), nullptr);
+    auto &arr = cc.array(flat);
+    EXPECT_EQ(cc.peekArray(flat), &arr);
     EXPECT_EQ(cc.materializedCount(), 1u);
-    // Same coordinate returns the same array.
+    // Same index returns the same array.
     arr.poke(0, 0, true);
-    EXPECT_TRUE(cc.array(c).peek(0, 0));
+    EXPECT_TRUE(cc.array(flat).peek(0, 0));
     EXPECT_EQ(cc.materializedCount(), 1u);
 }
 
 TEST(ComputeCache, LockstepIsMaxOverArrays)
 {
     ComputeCache cc;
-    auto &a0 = cc.array({0, 0, 0, 0});
-    auto &a1 = cc.array({1, 0, 0, 0});
+    auto &a0 = cc.array(0);
+    auto &a1 = cc.array(320); // first array of slice 1
     a0.opZero(0);
     a0.opZero(1);
     a1.opZero(0);
@@ -65,7 +42,7 @@ TEST(ComputeCache, LockstepIsMaxOverArrays)
 TEST(ComputeCache, AccessCyclesAggregated)
 {
     ComputeCache cc;
-    auto &a = cc.array({0, 0, 0, 0});
+    auto &a = cc.array(0);
     a.readRow(0);
     a.writeRow(0, nc::sram::BitRow(cc.geometry().arrayCols));
     EXPECT_EQ(cc.totalAccessCycles(), 2u);
@@ -77,11 +54,23 @@ TEST(ComputeCache, RingStopsFollowGeometry)
     EXPECT_EQ(cc.ring().stops, 24u);
 }
 
-TEST(ComputeCacheDeath, BadCoord)
+TEST(ComputeCacheDeath, IndexOutOfRange)
 {
     ComputeCache cc;
-    EXPECT_DEATH(cc.flatIndex(ArrayCoord{14, 0, 0, 0}), "coordinate");
-    EXPECT_DEATH(cc.coordOf(uint64_t(4480)), "out of range");
+    EXPECT_DEATH(cc.array(cc.geometry().totalArrays()), "out of range");
+
+    // A retirement shrinks the logical space: the last physical
+    // index is no longer addressable, by any lookup.
+    ComputeCache faulted;
+    nc::sram::faults::Config cfg;
+    cfg.killArrays = {7};
+    faulted.configureFaults(cfg);
+    faulted.bistScanAndRemap();
+    const uint64_t past = faulted.usableArrays();
+    ASSERT_EQ(past, faulted.geometry().totalArrays() - 1);
+    EXPECT_DEATH(faulted.array(past), "out of range");
+    EXPECT_DEATH((void)faulted.peekArray(past), "out of range");
+    EXPECT_DEATH((void)faulted.physicalOf(past), "out of range");
 }
 
 } // namespace

@@ -113,8 +113,8 @@ TEST(Health, RetireAndSubstituteRebindsAndWipesTheSpare)
     cc.configureFaults(cfg);
     cc.bistScanAndRemap(); // survivors 0..6
 
-    cc.array(cc.coordOf(2)).poke(0, 0, true); // the future casualty
-    cc.array(cc.coordOf(6)).poke(1, 1, true); // the future spare
+    cc.array(2).poke(0, 0, true); // the future casualty
+    cc.array(6).poke(1, 1, true); // the future spare
 
     uint64_t phys = cc.retireAndSubstitute(2, "test: synthetic");
     EXPECT_EQ(phys, 6u);
@@ -122,8 +122,8 @@ TEST(Health, RetireAndSubstituteRebindsAndWipesTheSpare)
     EXPECT_EQ(cc.physicalOf(2), 6u); // spare behind the same logical
 
     // The substitute starts clean for its new life.
-    EXPECT_FALSE(cc.array(cc.coordOf(2)).peek(1, 1));
-    EXPECT_FALSE(cc.array(cc.coordOf(2)).peek(0, 0));
+    EXPECT_FALSE(cc.array(2).peek(1, 1));
+    EXPECT_FALSE(cc.array(2).peek(0, 0));
 
     // The reason lands on the casualty's physical index.
     ASSERT_NE(cc.health()->reason(2), nullptr);
@@ -139,7 +139,7 @@ TEST(Health, RetireCompactReshufflesTheWholeLogicalSpace)
     cc.bistScanAndRemap(); // survivors 0,2,3,4,5,6,7
     EXPECT_EQ(cc.physicalOf(1), 2u);
 
-    cc.array(cc.coordOf(3)).poke(0, 0, true); // physical 4
+    cc.array(3).poke(0, 0, true); // physical 4
 
     cc.retireCompact(1, "test: compact"); // retires physical 2
     EXPECT_EQ(cc.usableArrays(), 6u);
@@ -150,7 +150,7 @@ TEST(Health, RetireCompactReshufflesTheWholeLogicalSpace)
     EXPECT_EQ(cc.physicalOf(2), 4u);
 
     // Materialized survivors were wiped for re-placement.
-    EXPECT_FALSE(cc.array(cc.coordOf(2)).peek(0, 0));
+    EXPECT_FALSE(cc.array(2).peek(0, 0));
     ASSERT_NE(cc.health()->reason(2), nullptr);
     EXPECT_EQ(*cc.health()->reason(2), "test: compact");
 }

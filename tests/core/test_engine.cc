@@ -354,6 +354,82 @@ TEST(EngineDeath, CompileRejectsShapeMismatch)
     EXPECT_DEATH((void)engine.compile(net), "expects");
 }
 
+/** A one-stage network holding just @p op. */
+dnn::Network
+singleOpNet(dnn::Op op)
+{
+    dnn::Network net;
+    net.name = "degenerate";
+    net.stages.push_back(dnn::singleOpStage(op.name(), std::move(op)));
+    return net;
+}
+
+/**
+ * Every degenerate pool shape dies at compile on @p kind, naming the
+ * layer, before any backend-specific work: zero channels (max and
+ * avg), zero input extents, a 2x0 and a 0x2 window, stride 0.
+ */
+void
+expectDegeneratePoolsRejected(BackendKind kind)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    core::EngineOptions opts;
+    opts.backend = kind;
+    core::Engine engine(opts);
+    const dnn::Op pools[] = {
+        dnn::maxPool("p", 4, 4, 0, 2, 2, 2),
+        dnn::avgPool("p", 4, 4, 0, 2, 2, 2),
+        dnn::maxPool("p", 0, 4, 3, 2, 2, 2),
+        dnn::avgPool("p", 4, 0, 3, 2, 2, 2),
+        dnn::avgPool("p", 4, 4, 3, 2, 0, 1),
+        dnn::maxPool("p", 4, 4, 3, 0, 2, 1),
+        dnn::maxPool("p", 4, 4, 3, 2, 2, 0),
+    };
+    for (const dnn::Op &op : pools) {
+        const dnn::PoolOp &po = op.pool;
+        SCOPED_TRACE(testing::Message()
+                     << (po.isAvg ? "avg " : "max ") << po.c << "x"
+                     << po.h << "x" << po.w << " window " << po.r
+                     << "x" << po.s << " stride " << po.stride);
+        EXPECT_DEATH((void)engine.compile(singleOpNet(op)),
+                     "pool 'p': degenerate shape");
+    }
+}
+
+TEST(EngineDeath, CompileRejectsDegeneratePoolOnReference)
+{
+    expectDegeneratePoolsRejected(BackendKind::Reference);
+}
+
+TEST(EngineDeath, CompileRejectsDegeneratePoolOnFunctional)
+{
+    expectDegeneratePoolsRejected(BackendKind::Functional);
+}
+
+TEST(EngineDeath, CompileRejectsDegeneratePoolOnAnalytic)
+{
+    expectDegeneratePoolsRejected(BackendKind::Analytic);
+}
+
+TEST(EngineDeath, CompileRejectsDegenerateConvOnEveryBackend)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (BackendKind kind : {BackendKind::Reference,
+                             BackendKind::Functional,
+                             BackendKind::Analytic}) {
+        SCOPED_TRACE(core::backendKindName(kind));
+        core::EngineOptions opts;
+        opts.backend = kind;
+        core::Engine engine(opts);
+        // No output channels, a zero-width filter, stride 0.
+        for (const dnn::Op &op : {dnn::conv("c", 4, 4, 3, 3, 3, 0),
+                                  dnn::conv("c", 4, 4, 3, 3, 0, 2),
+                                  dnn::conv("c", 4, 4, 3, 3, 3, 2, 0)})
+            EXPECT_DEATH((void)engine.compile(singleOpNet(op)),
+                         "conv 'c': degenerate shape");
+    }
+}
+
 TEST(EngineDeath, CompileRejectsTypoedWeightBank)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -134,7 +134,7 @@ runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
     Executor ex(cc, threads);
     auto layer = ex.prepareConv(w, 1, true, 0, gc.band);
     if (gc.faultyArray >= 0) {
-        EXPECT_NE(cc.array(cc.coordOf(gc.faultyArray)).faultRecord(),
+        EXPECT_NE(cc.array(gc.faultyArray).faultRecord(),
                   nullptr);
         const auto &partial = layer.rowLayout().partial;
         EXPECT_GE(kStuckRow, partial.base);
@@ -146,13 +146,13 @@ runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
     EXPECT_EQ(layer.resident(), gc.band == 0);
     if (reference)
         for (uint64_t i = 0; i < layer.bandArrays(); ++i)
-            cc.array(cc.coordOf(i)).setReferenceMode(true);
+            cc.array(i).setReferenceMode(true);
 
     unsigned oh, ow;
     auto out = layer.run(in, w, oh, ow);
     std::vector<ArrayState> states;
     for (uint64_t i = 0; i < layer.bandArrays(); ++i) {
-        sram::Array &a = cc.array(cc.coordOf(i));
+        sram::Array &a = cc.array(i);
         ArrayState st;
         for (unsigned r = 0; r < a.rows(); ++r)
             st.rows.push_back(a.rowRef(r));

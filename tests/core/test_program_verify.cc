@@ -138,7 +138,7 @@ TEST(ProgramVerifyDeath, GuardRowWriteDies)
 TEST(ProgramVerifyDeath, OrphanedCarryConsumeDies)
 {
     verify::ProgramContext ctx = smallCtx();
-    // carryIn with no prior Add/Sub: the latches hold garbage.
+    // carryIn with no prior Add: the latches hold garbage.
     std::vector<Instruction> prog{
         Instruction::add(bs::VecSlice{0, 8}, bs::VecSlice{8, 8},
                          bs::VecSlice{40, 8}, bs::kNoRow,
@@ -304,7 +304,7 @@ TEST(ProgramVerify, CanonicalMaxPoolProgramMatchesCostModel)
 TEST(ProgramVerify, StaticCyclesMatchControllerIssueConv)
 {
     cache::ComputeCache cc;
-    auto &arr = cc.array(cc.coordOf(0));
+    auto &arr = cc.array(0);
     dnn::Op op = dnn::conv("conv", 8, 8, 3, 3, 3, 4);
     mapping::FunctionalConvPlan fplan =
         mapping::planFunctionalConv(op.conv, cc.geometry());
@@ -336,7 +336,7 @@ TEST(ProgramVerify, StaticCyclesMatchControllerIssueConv)
 TEST(ProgramVerify, StaticCyclesMatchControllerIssueEltwise)
 {
     cache::ComputeCache cc;
-    auto &arr = cc.array(cc.coordOf(0));
+    auto &arr = cc.array(0);
 
     mapping::EltwiseRowLayout rows =
         mapping::makeEltwiseRowLayout(cc.geometry());
@@ -361,7 +361,7 @@ TEST(ProgramVerify, StaticCyclesMatchControllerIssueEltwise)
 TEST(ProgramVerify, StaticCyclesMatchControllerIssueMaxPool)
 {
     cache::ComputeCache cc;
-    auto &arr = cc.array(cc.coordOf(0));
+    auto &arr = cc.array(0);
 
     mapping::PoolRowLayout rows =
         mapping::makePoolRowLayout(cc.geometry());
@@ -384,7 +384,7 @@ TEST(ProgramVerify, StaticCyclesMatchControllerIssueMaxPool)
 TEST(ControllerDeath, EmptyProgramRejectedByName)
 {
     cache::ComputeCache cc;
-    auto &arr = cc.array(cc.coordOf(0));
+    auto &arr = cc.array(0);
     EXPECT_EXIT(core::runProgram(arr, {}), ::testing::ExitedWithCode(1),
                 "empty program range \\[0,0\\)");
     const std::vector<Instruction> prog{
@@ -397,7 +397,7 @@ TEST(ControllerDeath, EmptyProgramRejectedByName)
 TEST(ControllerDeath, ZeroWidthOperandRejectedByName)
 {
     cache::ComputeCache cc;
-    auto &arr = cc.array(cc.coordOf(0));
+    auto &arr = cc.array(0);
     EXPECT_EXIT(core::runProgram(arr,
                                  {Instruction::zero(bs::VecSlice{0, 8}),
                                   Instruction::zero(bs::VecSlice{0, 0})}),
@@ -414,7 +414,7 @@ TEST(ControllerDeath, ChargedCyclesOffTheStaticModelPanicNamingTheOp)
     // agrees on the zero and the MACs and dies on the reduction, by
     // opcode and index.
     cache::ComputeCache cc;
-    auto &arr = cc.array(cc.coordOf(0));
+    auto &arr = cc.array(0);
     mapping::ConvRowLayout rows = mapping::makeConvRowLayout(
         cc.geometry(),
         mapping::planFunctionalConv(

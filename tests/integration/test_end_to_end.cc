@@ -15,6 +15,7 @@
 #include "core/executor.hh"
 #include "dnn/inception_v3.hh"
 #include "dnn/random.hh"
+#include "dnn/reference.hh"
 
 namespace
 {
@@ -74,20 +75,13 @@ TEST(EndToEnd, CompiledModelBitExactAgainstReferencePipeline)
     auto acc_ref = dnn::convQuantUnsigned(img, mw.at("conv1"), 1,
                                           true, rh, rw);
     dnn::QTensor a1(4, rh, rw);
-    for (size_t i = 0; i < acc_ref.size(); ++i) {
-        uint64_t t = (uint64_t(acc_ref[i]) * l1->requantMult) >>
-                     l1->requantShift;
-        a1.data()[i] = static_cast<uint8_t>(t > 0xff ? 0xff : t);
-    }
+    a1.data() =
+        dnn::requantQuant(acc_ref, l1->requantMult, l1->requantShift);
     auto p_ref = dnn::maxPoolQuant(a1, 2, 2, 2, false);
     auto acc2_ref = dnn::convQuantUnsigned(p_ref, mw.at("head"), 1,
                                            true, rh, rw);
-    std::vector<uint8_t> want(acc2_ref.size());
-    for (size_t i = 0; i < acc2_ref.size(); ++i) {
-        uint64_t t = (uint64_t(acc2_ref[i]) * l2->requantMult) >>
-                     l2->requantShift;
-        want[i] = static_cast<uint8_t>(t > 0xff ? 0xff : t);
-    }
+    const std::vector<uint8_t> want =
+        dnn::requantQuant(acc2_ref, l2->requantMult, l2->requantShift);
 
     EXPECT_EQ(got.output.data(), want);
 
@@ -185,13 +179,8 @@ TEST(EndToEnd, WholeStackRunsOnInceptionStem)
                                       false, rh, rw);
     const auto *l = model.findLayer("Conv2d_1a_3x3");
     ASSERT_NE(l, nullptr);
-    std::vector<uint8_t> want(acc.size());
-    for (size_t i = 0; i < acc.size(); ++i) {
-        uint64_t t =
-            (uint64_t(acc[i]) * l->requantMult) >> l->requantShift;
-        want[i] = static_cast<uint8_t>(t > 0xff ? 0xff : t);
-    }
-    EXPECT_EQ(got.output.data(), want);
+    EXPECT_EQ(got.output.data(),
+              dnn::requantQuant(acc, l->requantMult, l->requantShift));
 
     core::EngineOptions opts;
     opts.backend = core::BackendKind::Analytic;

@@ -140,7 +140,7 @@ TEST(OwnershipDeath, ArrayHookAbortsCrossTaskRowAccess)
     EXPECT_DEATH(
         {
             cache::ComputeCache cc;
-            sram::Array &arr = cc.array(cc.coordOf(0));
+            sram::Array &arr = cc.array(0);
             std::thread t([&] {
                 cc.ownershipRegistry()->claim(0, 1, "other kernel");
             });
