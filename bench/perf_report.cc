@@ -150,7 +150,14 @@ struct ConvBench
     ConvBench(const dnn::QTensor &in_, const dnn::QWeights &w_,
               bool scalar)
         : in(in_), w(w_), ex(cc, scalar ? 1 : 0),
-          layer(ex.prepareConv(w, 1, true))
+          layer(ex.prepareConv(
+              w,
+              mapping::planFunctionalConv(
+                  dnn::conv("conv", in.height(), in.width(), w.c, w.r,
+                            w.s, w.m)
+                      .conv,
+                  cc.geometry()),
+              1, true))
     {
         for (uint64_t i = 0; i < layer.bandArrays(); ++i)
             cc.array(i).setReferenceMode(scalar);

@@ -155,35 +155,6 @@ microops::multiply(Array &arr, const VecSlice &a, const VecSlice &b,
 }
 
 uint64_t
-macFused(Array &arr, const VecSlice &a, const VecSlice &b,
-         const VecSlice &acc, unsigned zero_row)
-{
-    nc_assert(acc.bits >= a.bits + b.bits,
-              "accumulator too narrow: %u < %u", acc.bits,
-              a.bits + b.bits);
-    nc_assert(!acc.overlaps(a) && !acc.overlaps(b),
-              "accumulator overlaps an operand");
-    nc_assert(zero_row != kNoRow, "macFused requires a zero row");
-
-    uint64_t cycles = 0;
-    for (unsigned i = 0; i < b.bits; ++i) {
-        arr.opLoadTag(b.row(i));
-        ++cycles;
-        arr.carrySet(false);
-        for (unsigned j = 0; j < a.bits; ++j) {
-            arr.opAdd(a.row(j), acc.row(i + j), acc.row(i + j),
-                      /*pred=*/true);
-            ++cycles;
-        }
-        for (unsigned k = i + a.bits; k < acc.bits; ++k) {
-            arr.opAdd(acc.row(k), zero_row, acc.row(k), /*pred=*/true);
-            ++cycles;
-        }
-    }
-    return cycles;
-}
-
-uint64_t
 macScratch(Array &arr, const VecSlice &a, const VecSlice &b,
            const VecSlice &acc, const VecSlice &scratch, unsigned zero_row)
 {
@@ -348,19 +319,6 @@ relu(Array &arr, const VecSlice &val)
     cycles += zero(arr, val, /*pred=*/true);
     nc_assert(cycles == implReluCycles(val.bits), "relu cycle drift");
     return cycles;
-}
-
-uint64_t
-shiftUp(Array &arr, const VecSlice &val, unsigned k)
-{
-    unsigned w = val.bits;
-    if (k >= w)
-        return zero(arr, val);
-    for (unsigned j = w; j-- > k;)
-        arr.opCopy(val.row(j - k), val.row(j));
-    for (unsigned j = 0; j < k; ++j)
-        arr.opZero(val.row(j));
-    return implShiftCycles(w);
 }
 
 uint64_t

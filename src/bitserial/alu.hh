@@ -82,14 +82,6 @@ uint64_t multiply(Array &arr, const VecSlice &a, const VecSlice &b,
                   const VecSlice &prod);
 
 /**
- * acc += a * b (unsigned), fully fused: every multiplier bit ripples
- * its carry to the top of the accumulator. acc.bits >= a.bits + b.bits
- * is required for an overflow-free result.
- */
-uint64_t macFused(Array &arr, const VecSlice &a, const VecSlice &b,
-                  const VecSlice &acc, unsigned zero_row);
-
-/**
  * acc += a * b via a (a.bits+b.bits)-wide scratch band: multiply into
  * scratch, then one wide add (the paper's Figure 10 scratchpad flow).
  */
@@ -151,9 +143,6 @@ uint64_t compareGE(Array &arr, const VecSlice &a, const VecSlice &b,
 
 /** val <= max(val, 0) for two's-complement val (paper §IV-D ReLU). */
 uint64_t relu(Array &arr, const VecSlice &val);
-
-/** val <<= k (logical), in place. */
-uint64_t shiftUp(Array &arr, const VecSlice &val, unsigned k);
 
 /** val >>= k (logical), in place. */
 uint64_t shiftDown(Array &arr, const VecSlice &val, unsigned k);

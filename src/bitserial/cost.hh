@@ -77,17 +77,6 @@ implMulCycles(unsigned n)
 }
 
 /**
- * Fused MAC: acc(w bits) += a(n) * b(n) with full carry propagation to
- * the top of the accumulator every iteration.
- */
-constexpr uint64_t
-implMacFusedCycles(unsigned n, unsigned w)
-{
-    // sum_{i=0}^{n-1} (1 + w - i)
-    return uint64_t(n) * (1 + w) - uint64_t(n) * (n - 1) / 2;
-}
-
-/**
  * MAC through the scratchpad (paper Figure 10 layout): multiply into a
  * 2n-bit scratch band, then add the scratch into the w-bit partial sum.
  */

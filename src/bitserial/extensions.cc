@@ -86,47 +86,6 @@ saturate(Array &arr, const VecSlice &val, unsigned out_bits)
 }
 
 uint64_t
-negate(Array &arr, const VecSlice &val, unsigned zero_row)
-{
-    uint64_t cycles = 0;
-    for (unsigned j = 0; j < val.bits; ++j) {
-        arr.opCopyInv(val.row(j), val.row(j));
-        ++cycles;
-    }
-    arr.carrySet(true);
-    for (unsigned j = 0; j < val.bits; ++j) {
-        arr.opAdd(val.row(j), zero_row, val.row(j));
-        ++cycles;
-    }
-    nc_assert(cycles == implNegateCycles(val.bits),
-              "negate cycle model drift");
-    return cycles;
-}
-
-uint64_t
-absDiff(Array &arr, const VecSlice &a, const VecSlice &b,
-        const VecSlice &out, const VecSlice &scratch, unsigned zero_row)
-{
-    unsigned n = a.bits;
-    uint64_t cycles = sub(arr, a, b, out, scratch, zero_row);
-    arr.opLoadTagFromCarry(/*invert=*/true); // tag = borrowed (a < b)
-    ++cycles;
-    // Conditional negate of the borrowed lanes.
-    for (unsigned j = 0; j < n; ++j) {
-        arr.opCopyInv(out.row(j), out.row(j), /*pred=*/true);
-        ++cycles;
-    }
-    arr.carrySet(true);
-    for (unsigned j = 0; j < n; ++j) {
-        arr.opAdd(out.row(j), zero_row, out.row(j), /*pred=*/true);
-        ++cycles;
-    }
-    nc_assert(cycles == implAbsDiffCycles(n),
-              "absDiff cycle model drift");
-    return cycles;
-}
-
-uint64_t
 macScratchSkipZero(Array &arr, const VecSlice &a, const VecSlice &b,
                    const VecSlice &acc, const VecSlice &scratch,
                    unsigned zero_row)

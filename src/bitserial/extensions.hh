@@ -1,8 +1,6 @@
 /**
  * @file
- * ALU extensions beyond the paper's core arithmetic.
- *
- * Three groups:
+ * ALU extensions beyond the paper's core arithmetic. Four groups:
  *
  *  - Compute Cache heritage ops (HPCA'17 [9], which Neural Cache
  *    builds on): lane-wise equality into the tag latch and
@@ -17,6 +15,9 @@
  *  - Zero-skipping MAC (paper §VII names sparsity exploitation as
  *    future work): a one-cycle wired-OR zero detect of the multiplier
  *    slice lets fully-zero passes skip the whole multiply.
+ *
+ *  - The saturating narrow that clamps a requantized value to 8 bits
+ *    (§IV-D), which the executor's requantize runs.
  */
 
 #ifndef NC_BITSERIAL_EXTENSIONS_HH
@@ -102,29 +103,6 @@ constexpr uint64_t
 implSaturateCycles(unsigned vbits, unsigned out_bits)
 {
     return (vbits - out_bits) + out_bits;
-}
-
-/** val <= -val (two's complement negate: invert then +1). */
-uint64_t negate(Array &arr, const VecSlice &val, unsigned zero_row);
-
-constexpr uint64_t
-implNegateCycles(unsigned n)
-{
-    return 2 * uint64_t(n);
-}
-
-/**
- * out <= |a - b| for unsigned operands: subtract, then conditionally
- * negate where the subtraction borrowed.
- */
-uint64_t absDiff(Array &arr, const VecSlice &a, const VecSlice &b,
-                 const VecSlice &out, const VecSlice &scratch,
-                 unsigned zero_row);
-
-constexpr uint64_t
-implAbsDiffCycles(unsigned n)
-{
-    return implSubCycles(n, false) + 1 + implNegateCycles(n);
 }
 
 } // namespace nc::bitserial

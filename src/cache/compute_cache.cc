@@ -9,7 +9,6 @@ namespace nc::cache
 
 ComputeCache::ComputeCache(Geometry geom_) : geom(std::move(geom_))
 {
-    ringNet.stops = geom.slices;
     if (sram::ownership::kEnabled)
         ownReg = std::make_unique<sram::ownership::Registry>(
             geom.totalArrays());

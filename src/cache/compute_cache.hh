@@ -13,6 +13,8 @@
  * broadcast literally: a pass's arrays run side by side as members of
  * one group array (sram::Array member width), so each host op serves
  * them all, and every array is charged what it would count alone.
+ * The cache holds arrays only: the interconnect, DRAM channel and CBox
+ * timing models belong to core::CostModel.
  */
 
 #ifndef NC_CACHE_COMPUTE_CACHE_HH
@@ -21,15 +23,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-
 #include <vector>
 
-#include "cache/cbox.hh"
-#include "cache/dram.hh"
 #include "common/bits.hh" // for the C++20 guard: <=> below mis-parses pre-C++20
 #include "cache/geometry.hh"
 #include "cache/health.hh"
-#include "cache/interconnect.hh"
 #include "sram/array.hh"
 #include "sram/faults.hh"
 #include "sram/ownership.hh"
@@ -55,10 +53,6 @@ class ComputeCache
     explicit ComputeCache(Geometry geom = Geometry::xeonE5_35MB());
 
     const Geometry &geometry() const { return geom; }
-    const IntraSliceBus &bus() const { return sliceBus; }
-    const Ring &ring() const { return ringNet; }
-    const DramModel &dram() const { return dramModel; }
-    const CBox &cbox() const { return cboxModel; }
 
     /**
      * Lazily materialize and return the array at logical index
@@ -179,10 +173,6 @@ class ComputeCache
 
   private:
     Geometry geom;
-    IntraSliceBus sliceBus;
-    Ring ringNet;
-    DramModel dramModel;
-    CBox cboxModel;
     std::map<uint64_t, std::unique_ptr<sram::Array>> arrays;
     std::unique_ptr<sram::ownership::Registry> ownReg;
     std::unique_ptr<sram::faults::Registry> fltReg;

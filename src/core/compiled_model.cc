@@ -96,14 +96,6 @@ CompiledModel::placeAndPrepare(bool force_streaming)
         !force_streaming, usable);
     bool all_resident = bandPlan.resident;
 
-    struct ConvPlacement
-    {
-        uint64_t base = 0;
-        uint64_t band = 0;
-        bool resident = true;
-    };
-    std::vector<ConvPlacement> place(layers.size());
-
     uint64_t scratch_base = 0;
     if (all_resident) {
         // Whole-network residency: every conv layer owns its full
@@ -111,13 +103,11 @@ CompiledModel::placeAndPrepare(bool force_streaming)
         // (§IV-E: batches amortize the load forever); scratch slots
         // sit past the last band.
         uint64_t next = 0;
-        for (size_t li = 0; li < layers.size(); ++li) {
-            CompiledLayer &layer = layers[li];
+        for (CompiledLayer &layer : layers) {
             if (!functional || !layer.op.isConv())
                 continue;
             uint64_t need =
                 layer.funcPlan.totalArrays(layer.op.conv.m);
-            place[li] = {next, need, true};
             layer.baseArray = next;
             layer.bandArrays = need;
             layer.bandResident = true;
@@ -204,7 +194,6 @@ CompiledModel::placeAndPrepare(bool force_streaming)
                     CompiledLayer &layer = layers[li];
                     if (!functional || !layer.op.isConv())
                         continue;
-                    place[li] = {next, band_b[bi], false};
                     layer.baseArray = next;
                     layer.bandArrays = band_b[bi];
                     layer.bandResident = false;
@@ -235,28 +224,14 @@ CompiledModel::placeAndPrepare(bool force_streaming)
     if (!functional)
         return;
 
-    // --- Pass C: prepare the per-layer kernels. --------------------
-    for (size_t li = 0; li < layers.size(); ++li) {
-        CompiledLayer &layer = layers[li];
+    // --- Pass C: prepare the per-layer kernels on the plan and band
+    // each conv was given above. ------------------------------------
+    for (CompiledLayer &layer : layers) {
         if (layer.op.isConv()) {
             const dnn::ConvOp &co = layer.op.conv;
             layer.funcConv = ex->prepareConv(
-                layer.weights, co.stride, co.samePad, place[li].base,
-                place[li].band, place[li].resident);
-            // The band arithmetic above priced chunks from
-            // layer.funcPlan; the executor re-derives its plan from
-            // the same inputs — catch any drift before it can
-            // overlap adjacent bands.
-            nc_assert(layer.funcConv->chunksPerBatch() ==
-                              layer.funcPlan.chunks &&
-                          layer.funcConv->plan().lanes ==
-                              layer.funcPlan.lanes,
-                      "conv '%s': executor mapping (%u chunks, %u "
-                      "lanes) disagrees with the compile plan (%u "
-                      "chunks, %u lanes)",
-                      co.name.c_str(), layer.funcConv->chunksPerBatch(),
-                      layer.funcConv->plan().lanes,
-                      layer.funcPlan.chunks, layer.funcPlan.lanes);
+                layer.weights, layer.funcPlan, co.stride, co.samePad,
+                layer.baseArray, layer.bandArrays, layer.bandResident);
         } else if (layer.op.kind == dnn::OpKind::EltwiseAdd) {
             layer.funcElt = ex->prepareEltwise(
                 layer.requantMult, layer.requantShift,

@@ -60,7 +60,9 @@ struct CompiledLayer
      * image on demand; the simulator kernels pin `weights` directly.
      */
     mapping::ConvPlan plan;
-    /** The executor transform selection (pack/split/chunk bands). */
+    /** The executor transform selection (pack/split/chunk bands):
+     * placement sizes the band from it, and prepareConv builds the
+     * layer's row layout and lane table from it. */
     mapping::FunctionalConvPlan funcPlan;
     /** Calibrated fixed-point requantization: q = sat8((acc*m)>>s).
      * For eltwise layers these are the merge scalars of

@@ -73,13 +73,108 @@ stagingArray(unsigned rows, unsigned cols)
     return *stage;
 }
 
+/**
+ * Stage one slot of @p in into @p vals, zeroed first: each run reads
+ * its chunk-relative channels (c0 + ch, clipped to the chunk's @p
+ * channels) at (y0 + dy, x0 + dx) into its lanes, and a run whose
+ * position falls in the zero padding leaves its lanes zero. The one
+ * place a kernel reads its input tensor. Returns whether any run's
+ * position lay inside @p in.
+ */
+bool
+gather(std::span<uint64_t> vals, const dnn::QTensor &in,
+       std::span<const mapping::LaneRun> runs, int y0, int x0,
+       unsigned c0, unsigned channels)
+{
+    std::fill(vals.begin(), vals.end(), 0);
+    bool inside = false;
+    for (const mapping::LaneRun &run : runs) {
+        const int iy = y0 + static_cast<int>(run.dy);
+        const int ix = x0 + static_cast<int>(run.dx);
+        if (iy < 0 || ix < 0 || iy >= static_cast<int>(in.height()) ||
+            ix >= static_cast<int>(in.width()))
+            continue;
+        inside = true;
+        const unsigned n = run.lanesIn(channels);
+        for (unsigned i = 0; i < n; ++i) {
+            const unsigned lane = run.lane0 + i * run.laneStride;
+            nc_dassert(lane < vals.size(),
+                       "gather: lane %u past the slot's %zu lanes", lane,
+                       vals.size());
+            vals[lane] = in.at(c0 + run.ch0 + i * run.chStride,
+                               static_cast<unsigned>(iy),
+                               static_cast<unsigned>(ix));
+        }
+    }
+    return inside;
+}
+
+/**
+ * What maxPool and avgPool share: channel passes of at most one
+ * array's bit lines (one lane per channel, extra channels run as
+ * serial passes over the same slice map), the output dims, and the
+ * r x s window as one unit-stride run per element.
+ */
+struct PoolWalk
+{
+    PoolWalk(const dnn::QTensor &in_, unsigned r, unsigned s,
+             unsigned stride_, bool same_pad, unsigned cols)
+        : in(in_), stride(stride_),
+          cchunk(std::min(in_.channels(), cols)),
+          lanes(static_cast<unsigned>(roundUpPow2(cchunk))),
+          cpasses(static_cast<unsigned>(
+              divCeil(in_.channels(), cchunk))),
+          oh(dnn::outDim(in_.height(), r, stride_, same_pad)),
+          ow(dnn::outDim(in_.width(), s, stride_, same_pad)),
+          ph(static_cast<int>(
+              padBefore(in_.height(), r, stride_, same_pad))),
+          pw(static_cast<int>(
+              padBefore(in_.width(), s, stride_, same_pad)))
+    {
+        nc_assert(lanes <= cols, "pool: %u lanes exceed %u bit lines "
+                  "(non-power-of-two array width)", lanes, cols);
+        for (unsigned dy = 0; dy < r; ++dy)
+            for (unsigned dx = 0; dx < s; ++dx)
+                elems.push_back({dy, dx, 0, 1, 0, 1, cchunk});
+    }
+
+    /**
+     * Stage each in-bounds element of output (y, x)'s window, channels
+     * [c0, c0 + cchunk), into @p iv in row-major order and call @p f
+     * after each; padding elements are skipped, not staged as zeros.
+     */
+    template <class F>
+    void
+    window(std::span<uint64_t> iv, unsigned y, unsigned x, unsigned c0,
+           F &&f) const
+    {
+        const unsigned n = std::min(in.channels(), c0 + cchunk) - c0;
+        for (const mapping::LaneRun &e : elems)
+            if (gather(iv, in, {&e, 1}, static_cast<int>(y * stride) - ph,
+                       static_cast<int>(x * stride) - pw, c0, n))
+                f();
+    }
+
+    const dnn::QTensor &in;
+    unsigned stride, cchunk, lanes, cpasses, oh, ow;
+    int ph, pw;
+    std::vector<mapping::LaneRun> elems;
+};
+
 } // namespace
 
 Executor::PreparedConv
-Executor::prepareConv(const dnn::QWeights &w, unsigned stride,
-                      bool same_pad, uint64_t base_array,
-                      uint64_t band_arrays, bool resident)
+Executor::prepareConv(const dnn::QWeights &w,
+                      const mapping::FunctionalConvPlan &plan,
+                      unsigned stride, bool same_pad,
+                      uint64_t base_array, uint64_t band_arrays,
+                      bool resident)
 {
+    nc_assert(plan.fits &&
+                  uint64_t(plan.chunks) * plan.chunkChannels >= w.c,
+              "conv (C=%u RxS=%ux%u): the plan given does not map it "
+              "onto a %ux%u array", w.c, w.r, w.s,
+              cc.geometry().arrayRows, cc.geometry().arrayCols);
     PreparedConv p;
     p.ex = this;
     p.m = w.m;
@@ -89,32 +184,21 @@ Executor::prepareConv(const dnn::QWeights &w, unsigned stride,
     p.stride = stride;
     p.samePad = same_pad;
     p.base = base_array;
-
-    dnn::ConvOp shape;
-    shape.name = "prepared";
-    shape.c = w.c;
-    shape.r = w.r;
-    shape.s = w.s;
-    shape.m = w.m;
-    p.fplan = mapping::planFunctionalConv(shape, cc.geometry());
-    nc_assert(p.fplan.fits,
-              "conv (C=%u RxS=%ux%u) exceeds every functional "
-              "mapping of a %ux%u array", w.c, w.r, w.s,
-              cc.geometry().arrayRows, cc.geometry().arrayCols);
-    // The Figure-10 slice map and the per-window program over it:
-    // every array gets the identical layout and runs the identical
-    // stream, so both are derived once here.
-    p.rows = mapping::makeConvRowLayout(cc.geometry(), p.fplan);
+    p.fplan = plan;
+    // The Figure-10 slice map, the lane table over it, and the
+    // per-window program: every array gets the identical layout and
+    // runs the identical stream, so all three are derived once here.
+    p.rows = mapping::makeConvRowLayout(cc.geometry(), plan);
+    p.table = mapping::makeConvLaneTable(plan, w.r, w.s);
     p.prog = verify::convWindowProgram(p.rows);
 
-    uint64_t need = p.fplan.totalArrays(w.m);
+    uint64_t need = plan.totalArrays(w.m);
     p.band = band_arrays == 0 ? need : std::min(band_arrays, need);
-    nc_assert(p.band >= p.fplan.chunks,
+    nc_assert(p.band >= plan.chunks,
               "band of %llu arrays cannot hold one filter batch "
               "(%u chunks)",
-              static_cast<unsigned long long>(p.band),
-              p.fplan.chunks);
-    p.groupBatches = static_cast<unsigned>(p.band / p.fplan.chunks);
+              static_cast<unsigned long long>(p.band), plan.chunks);
+    p.groupBatches = static_cast<unsigned>(p.band / plan.chunks);
     p.isResident = resident && p.groupBatches >= w.m;
     if (p.isResident)
         p.band = need;
@@ -159,9 +243,6 @@ Executor::PreparedConv::storeFilters(const dnn::QWeights &w,
 {
     cache::ComputeCache &cc = ex->cc;
     const unsigned chunks = fplan.chunks;
-    const unsigned pack = fplan.packFactor;
-    const unsigned split = fplan.splitFactor;
-    const unsigned rs = r * s;
 
     ex->pool.parallelFor(static_cast<size_t>(count) * chunks,
                          [&](size_t t) {
@@ -171,11 +252,10 @@ Executor::PreparedConv::storeFilters(const dnn::QWeights &w,
             sram::ownership::Range{base + array_offset + t, 1}, 0,
             "conv filter store");
         unsigned mi = first_batch + static_cast<unsigned>(t / chunks);
-        unsigned ch = static_cast<unsigned>(t % chunks);
-        sram::Array &arr =
-            cc.array(base + array_offset + t);
-        unsigned c0 = ch * fplan.chunkChannels;
-        unsigned c1 = std::min(c, c0 + fplan.chunkChannels);
+        unsigned c0 = static_cast<unsigned>(t % chunks) *
+                      fplan.chunkChannels;
+        unsigned nch = std::min(c, c0 + fplan.chunkChannels) - c0;
+        sram::Array &arr = cc.array(base + array_offset + t);
 
         // Streaming buffer on this worker's scratch arena: filters
         // repin every pass in the streaming regime, so a heap
@@ -184,25 +264,12 @@ Executor::PreparedConv::storeFilters(const dnn::QWeights &w,
         std::span<uint64_t> vals = scratch.alloc(rows.lanes);
         for (unsigned k = 0; k < rows.rs; ++k) {
             std::fill(vals.begin(), vals.end(), 0);
-            if (pack > 1) {
-                for (unsigned l = 0; l < rows.lanes; ++l) {
-                    unsigned ci = c0 + l * pack + k;
-                    if (l * pack + k < fplan.chunkChannels && ci < c1)
-                        vals[l] = w.at(mi, ci, 0, 0);
-                }
-            } else if (split > 1) {
-                for (unsigned ci = c0; ci < c1; ++ci) {
-                    for (unsigned j = 0; j < split; ++j) {
-                        unsigned kg = j * rows.rs + k;
-                        if (kg >= rs)
-                            continue;
-                        vals[(ci - c0) * split + j] =
-                            w.at(mi, ci, kg / s, kg % s);
-                    }
-                }
-            } else {
-                for (unsigned ci = c0; ci < c1; ++ci)
-                    vals[ci - c0] = w.at(mi, ci, k / s, k % s);
+            for (const mapping::LaneRun &run : table.slots[k]) {
+                const unsigned n = run.lanesIn(nch);
+                for (unsigned i = 0; i < n; ++i)
+                    vals[run.lane0 + i * run.laneStride] =
+                        w.at(mi, c0 + run.ch0 + i * run.chStride,
+                             run.dy, run.dx);
             }
             bs::storeVector(arr, rows.filt[k], vals);
         }
@@ -227,13 +294,12 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
 
     out_h = dnn::outDim(in.height(), r, stride, samePad);
     out_w = dnn::outDim(in.width(), s, stride, samePad);
-    unsigned ph = padBefore(in.height(), r, stride, samePad);
-    unsigned pw = padBefore(in.width(), s, stride, samePad);
-    unsigned oh = out_h, ow = out_w;
+    const int ph = static_cast<int>(padBefore(in.height(), r, stride,
+                                              samePad));
+    const int pw = static_cast<int>(padBefore(in.width(), s, stride,
+                                              samePad));
+    const unsigned oh = out_h, ow = out_w;
     const unsigned chunks = fplan.chunks;
-    const unsigned pack = fplan.packFactor;
-    const unsigned split = fplan.splitFactor;
-    const unsigned rs = r * s;
     const size_t win = static_cast<size_t>(oh) * ow;
     const unsigned arows = cc.geometry().arrayRows;
     const unsigned cols = cc.geometry().arrayCols;
@@ -243,64 +309,15 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
     // merge below models the cross-array sense-amp reduction.
     std::vector<uint32_t> part;
 
-    auto in_at = [&](unsigned ci, int iy, int ix) -> uint64_t {
-        if (iy < 0 || ix < 0 || iy >= static_cast<int>(in.height()) ||
-            ix >= static_cast<int>(in.width()))
-            return 0;
-        return in.at(ci, iy, ix);
-    };
-
-    // Input slot k of window (y, x) for channel chunk ch, one value
-    // per lane (zero padding stays zero).
-    auto fill_slot = [&](std::span<uint64_t> vals, unsigned y,
-                         unsigned x, unsigned k, unsigned ch) {
-        std::fill(vals.begin(), vals.end(), 0);
-        unsigned c0 = ch * fplan.chunkChannels;
-        unsigned c1 = std::min(c, c0 + fplan.chunkChannels);
-        if (pack > 1) {
-            // Packed 1x1: one byte per MAC, each lane covering
-            // `pack` channels.
-            int iy = static_cast<int>(y * stride) - static_cast<int>(ph);
-            int ix = static_cast<int>(x * stride) - static_cast<int>(pw);
-            for (unsigned l = 0; l < rows.lanes; ++l) {
-                unsigned ci = c0 + l * pack + k;
-                if (l * pack + k < fplan.chunkChannels && ci < c1)
-                    vals[l] = in_at(ci, iy, ix);
-            }
-        } else if (split > 1) {
-            for (unsigned ci = c0; ci < c1; ++ci) {
-                for (unsigned j = 0; j < split; ++j) {
-                    unsigned kg = j * rows.rs + k;
-                    if (kg >= rs)
-                        continue;
-                    int iy = static_cast<int>(y * stride + kg / s) -
-                             static_cast<int>(ph);
-                    int ix = static_cast<int>(x * stride + kg % s) -
-                             static_cast<int>(pw);
-                    vals[(ci - c0) * split + j] = in_at(ci, iy, ix);
-                }
-            }
-        } else {
-            int iy = static_cast<int>(y * stride + k / s) -
-                     static_cast<int>(ph);
-            int ix = static_cast<int>(x * stride + k % s) -
-                     static_cast<int>(pw);
-            if (iy >= 0 && ix >= 0 &&
-                iy < static_cast<int>(in.height()) &&
-                ix < static_cast<int>(in.width())) {
-                for (unsigned ci = c0; ci < c1; ++ci)
-                    vals[ci - c0] = in.at(ci, iy, ix);
-            }
-        }
-    };
-
-    // One output window on `arr`: put(slot, k) lands input slot k in
-    // the row slice `slot`, and the window program runs around it.
+    // One output window on `arr`: put(slot, k) lands MAC slot k's
+    // inputs in the row slice `slot`, and the window program runs
+    // around it.
     const size_t np = prog.size();
+    const bool one_slot = rows.inp.size() < rows.rs;
     auto run_window = [&](sram::Array &arr, auto &&put) {
-        if (pack > 1) {
-            // Packed 1x1: one input slot, so each MAC runs right
-            // after its byte lands in the slot.
+        if (one_slot) {
+            // Packed 1x1: every MAC slot reads the one input slot, so
+            // each MAC runs right after its byte lands there.
             runProgram(arr, prog, 0, 1);
             for (unsigned k = 0; k < rows.rs; ++k) {
                 put(rows.inp[0], k);
@@ -333,46 +350,32 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
         size_t tasks = static_cast<size_t>(mb1 - mb0) * chunks;
         if (chunks > 1)
             part.assign(tasks * win, 0);
+        // Array t's window sums: its chunk partials, or straight into
+        // its filter batch's outputs when there is one chunk.
+        uint32_t *sums =
+            chunks > 1 ? part.data() : out.data() + size_t(mb0) * win;
 
         auto member = [&](size_t t) -> sram::Array & {
             return cc.array(base + array_offset + t);
-        };
-        auto emit = [&](size_t t, unsigned y, unsigned x, uint64_t sum) {
-            size_t at = static_cast<size_t>(y) * ow + x;
-            if (chunks > 1)
-                part[t * win + at] = static_cast<uint32_t>(sum);
-            else
-                out[(mb0 + t) * win + at] = static_cast<uint32_t>(sum);
-        };
-
-        // Array t on its own, the per-array machine itself.
-        auto run_alone = [&](size_t t, std::span<uint64_t> vals) {
-            sram::Array &arr = member(t);
-            unsigned ch = static_cast<unsigned>(t % chunks);
-            for (unsigned y = 0; y < oh; ++y) {
-                for (unsigned x = 0; x < ow; ++x) {
-                    run_window(arr, [&](const bs::VecSlice &slot,
-                                        unsigned k) {
-                        fill_slot(vals, y, x, k, ch);
-                        bs::storeVector(arr, slot, vals);
-                    });
-                    emit(t, y, x, bs::loadLane(arr, rows.partial, 0));
-                }
-            }
         };
 
         // Arrays [t0, t1) in lockstep (§IV-F: the slice broadcasts
         // one stream to all of them): member j of the group array is
         // array t0 + j, every window's stores and programs issue once
         // over the group, and each member is charged the group's
-        // cycles — what it would have counted on its own.
+        // cycles — what it would have counted on its own. A group of
+        // one runs on its array directly: the per-array machine.
         auto run_group = [&](size_t t0, size_t t1,
                              std::span<uint64_t> vals) {
             const unsigned n = static_cast<unsigned>(t1 - t0);
-            sram::Array &group = groupArray(arows, cols, n);
-            sram::Array &stage = stagingArray(arows, cols);
-            for (unsigned j = 0; j < n; ++j)
-                group.loadMember(j, member(t0 + j));
+            const bool direct = n == 1;
+            sram::Array &group =
+                direct ? member(t0) : groupArray(arows, cols, n);
+            sram::Array &stage =
+                direct ? group : stagingArray(arows, cols);
+            if (!direct)
+                for (unsigned j = 0; j < n; ++j)
+                    group.loadMember(j, member(t0 + j));
             const uint64_t compute0 = group.computeCycles();
             const uint64_t access0 = group.accessCycles();
 
@@ -381,12 +384,20 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
             const size_t distinct = std::min<size_t>(n, chunks);
             for (unsigned y = 0; y < oh; ++y) {
                 for (unsigned x = 0; x < ow; ++x) {
+                    const int y0 = static_cast<int>(y * stride) - ph;
+                    const int x0 = static_cast<int>(x * stride) - pw;
                     run_window(group, [&](const bs::VecSlice &slot,
                                           unsigned k) {
                         for (size_t t = t0; t < t0 + distinct; ++t) {
-                            fill_slot(vals, y, x, k,
-                                      static_cast<unsigned>(t % chunks));
+                            unsigned c0 =
+                                static_cast<unsigned>(t % chunks) *
+                                fplan.chunkChannels;
+                            gather(vals, in, table.slots[k], y0, x0, c0,
+                                   std::min(c, c0 + fplan.chunkChannels) -
+                                       c0);
                             bs::storeVector(stage, slot, vals);
+                            if (direct)
+                                continue;
                             for (size_t u = t; u < t1; u += chunks)
                                 group.loadMemberRows(
                                     static_cast<unsigned>(u - t0), stage,
@@ -394,12 +405,14 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
                         }
                     });
                     for (unsigned j = 0; j < n; ++j)
-                        emit(t0 + j, y, x,
-                             bs::loadLane(group, rows.partial,
-                                          j * cols));
+                        sums[(t0 + j) * win + size_t(y) * ow + x] =
+                            static_cast<uint32_t>(bs::loadLane(
+                                group, rows.partial, j * cols));
                 }
             }
 
+            if (direct)
+                return;
             const uint64_t compute = group.computeCycles() - compute0;
             const uint64_t access = group.accessCycles() - access0;
             for (unsigned j = 0; j < n; ++j) {
@@ -435,17 +448,17 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
 
             // A faulted member must see exactly its own per-touch
             // sequence, and a reference-mode member its own kernels:
-            // either sends the whole group down the per-array path,
-            // as does a geometry whose members would not start on
-            // word boundaries.
-            bool alone = t1 - t0 == 1 || cols % 64 != 0;
+            // either sends the whole group down the per-array path
+            // (groups of one), as does a geometry whose members would
+            // not start on word boundaries.
+            bool alone = cols % 64 != 0;
             for (size_t t = t0; t < t1 && !alone; ++t) {
                 const sram::Array &arr = member(t);
                 alone = arr.faultRecord() != nullptr || arr.referenceMode();
             }
             if (alone) {
                 for (size_t t = t0; t < t1; ++t)
-                    run_alone(t, vals);
+                    run_group(t, t + 1, vals);
             } else {
                 run_group(t0, t1, vals);
             }
@@ -473,24 +486,13 @@ Executor::conv(const dnn::QTensor &in, const dnn::QWeights &w,
                unsigned stride, bool same_pad, unsigned &out_h,
                unsigned &out_w)
 {
-    // The legacy per-call entry point: compile and run once. The
-    // micro-op sequence (and hence every cycle counter) is identical
-    // to the historical fused implementation.
-    return prepareConv(w, stride, same_pad).run(in, w, out_h, out_w);
-}
-
-std::vector<uint32_t>
-Executor::fc(const std::vector<uint8_t> &in, const dnn::QWeights &w)
-{
-    nc_assert(w.r == 1 && w.s == 1, "fc weights must be 1x1, got %ux%u",
-              w.r, w.s);
-    nc_assert(w.c == in.size(), "fc: %u weight channels for %zu inputs",
-              w.c, in.size());
-    dnn::QTensor t(w.c, 1, 1);
-    for (unsigned ci = 0; ci < w.c; ++ci)
-        t.at(ci, 0, 0) = in[ci];
-    unsigned oh, ow;
-    return conv(t, w, 1, false, oh, ow);
+    // The per-call entry point: plan, prepare and run once.
+    const dnn::Op op = dnn::conv("conv", in.height(), in.width(), w.c,
+                                 w.r, w.s, w.m, stride, same_pad);
+    return prepareConv(w, mapping::planFunctionalConv(op.conv,
+                                                      cc.geometry()),
+                       stride, same_pad)
+        .run(in, w, out_h, out_w);
 }
 
 dnn::QTensor
@@ -500,19 +502,8 @@ Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
 {
     unsigned cols = cc.geometry().arrayCols;
     unsigned arows = cc.geometry().arrayRows;
-    // Channel ranges beyond one array's bit lines run as extra
-    // serial passes over the same slice map (one lane per channel).
-    unsigned cchunk = std::min(in.channels(), cols);
-    unsigned lanes = static_cast<unsigned>(roundUpPow2(cchunk));
-    nc_assert(lanes <= cols, "maxPool: %u lanes exceed %u bit lines "
-              "(non-power-of-two array width)", lanes, cols);
-    unsigned cpasses = static_cast<unsigned>(
-        divCeil(in.channels(), cchunk));
-
-    unsigned oh = dnn::outDim(in.height(), r, stride, same_pad);
-    unsigned ow = dnn::outDim(in.width(), s, stride, same_pad);
-    unsigned ph = padBefore(in.height(), r, stride, same_pad);
-    unsigned pw = padBefore(in.width(), s, stride, same_pad);
+    const PoolWalk walk(in, r, s, stride, same_pad, cols);
+    const unsigned cpasses = walk.cpasses, ow = walk.ow;
 
     // The modeled machine runs every window on one array; the
     // simulator partitions the independent (window, channel-pass)
@@ -528,7 +519,7 @@ Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
         sram::ownership::Range{scratch_array, 1}, 0,
         "maxPool kernel");
     sram::Array &model = cc.array(scratch_array);
-    size_t windows = static_cast<size_t>(oh) * ow * cpasses;
+    size_t windows = static_cast<size_t>(walk.oh) * ow * cpasses;
     size_t chunks = std::min<size_t>(pool.size(), windows);
     std::vector<std::pair<uint64_t, uint64_t>> charged(
         chunks > 0 ? chunks : 1, {0, 0});
@@ -543,7 +534,7 @@ Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
     const std::vector<Instruction> fold =
         verify::maxPoolWindowProgram(prows, r * s);
 
-    dnn::QTensor out(in.channels(), oh, ow, in.params());
+    dnn::QTensor out(in.channels(), walk.oh, ow, in.params());
     pool.parallelFor(chunks, [&](size_t chunk) {
         sram::Array arr(arows, cols);
         arr.setReferenceMode(model.referenceMode());
@@ -551,33 +542,19 @@ Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
         size_t lo = windows * chunk / chunks;
         size_t hi = windows * (chunk + 1) / chunks;
         common::ArenaScope task_scratch;
-        std::span<uint64_t> iv = task_scratch.alloc(lanes);
-        std::fill(iv.begin(), iv.end(), 0);
+        std::span<uint64_t> iv = task_scratch.alloc(walk.lanes);
         for (size_t wi = lo; wi < hi; ++wi) {
             unsigned y = static_cast<unsigned>(wi / cpasses / ow);
             unsigned x = static_cast<unsigned>(wi / cpasses % ow);
             unsigned c0 = static_cast<unsigned>(wi % cpasses) *
-                          cchunk;
-            unsigned c1 = std::min(in.channels(), c0 + cchunk);
+                          walk.cchunk;
+            unsigned c1 = std::min(in.channels(), c0 + walk.cchunk);
             size_t j = 0;
-            for (unsigned ri = 0; ri < r; ++ri) {
-                for (unsigned si = 0; si < s; ++si) {
-                    int iy = static_cast<int>(y * stride + ri) -
-                             static_cast<int>(ph);
-                    int ix = static_cast<int>(x * stride + si) -
-                             static_cast<int>(pw);
-                    if (iy < 0 || ix < 0 ||
-                        iy >= static_cast<int>(in.height()) ||
-                        ix >= static_cast<int>(in.width()))
-                        continue;
-                    std::fill(iv.begin(), iv.end(), 0);
-                    for (unsigned ci = c0; ci < c1; ++ci)
-                        iv[ci - c0] = in.at(ci, iy, ix);
-                    bs::storeVector(arr, prows.cur, iv);
-                    runProgram(arr, fold, j, j + 1);
-                    ++j;
-                }
-            }
+            walk.window(iv, y, x, c0, [&] {
+                bs::storeVector(arr, prows.cur, iv);
+                runProgram(arr, fold, j, j + 1);
+                ++j;
+            });
             for (unsigned ci = c0; ci < c1; ++ci) {
                 out.at(ci, y, x) = static_cast<uint8_t>(
                     bs::loadLane(arr, prows.best, ci - c0));
@@ -599,21 +576,10 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
     const unsigned bits = 8;
     const unsigned acc_bits = 2 * bits;
     unsigned ws = r * s;
-    unsigned cols = cc.geometry().arrayCols;
-    // Channel ranges beyond one array's bit lines run as extra
-    // serial passes over the same slice map (one lane per channel).
-    unsigned cchunk = std::min(in.channels(), cols);
-    unsigned lanes = static_cast<unsigned>(roundUpPow2(cchunk));
-    nc_assert(lanes <= cols, "avgPool: %u lanes exceed %u bit lines "
-              "(non-power-of-two array width)", lanes, cols);
-    unsigned cpasses = static_cast<unsigned>(
-        divCeil(in.channels(), cchunk));
     nc_assert(ws <= 256, "window too large");
-
-    unsigned oh = dnn::outDim(in.height(), r, stride, same_pad);
-    unsigned ow = dnn::outDim(in.width(), s, stride, same_pad);
-    unsigned ph = padBefore(in.height(), r, stride, same_pad);
-    unsigned pw = padBefore(in.width(), s, stride, same_pad);
+    const PoolWalk walk(in, r, s, stride, same_pad,
+                        cc.geometry().arrayCols);
+    const unsigned lanes = walk.lanes;
 
     sram::Array &arr = cc.array(scratch_array);
     bs::RowAllocator rows(cc.geometry().arrayRows);
@@ -643,33 +609,19 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
 
     common::ArenaScope scratch;
     std::span<uint64_t> iv = scratch.alloc(lanes);
-    std::fill(iv.begin(), iv.end(), 0);
-    dnn::QTensor out(in.channels(), oh, ow, in.params());
-    for (unsigned cp = 0; cp < cpasses; ++cp) {
-        unsigned c0 = cp * cchunk;
-        unsigned c1 = std::min(in.channels(), c0 + cchunk);
-        for (unsigned y = 0; y < oh; ++y) {
-            for (unsigned x = 0; x < ow; ++x) {
+    dnn::QTensor out(in.channels(), walk.oh, walk.ow, in.params());
+    for (unsigned cp = 0; cp < walk.cpasses; ++cp) {
+        unsigned c0 = cp * walk.cchunk;
+        unsigned c1 = std::min(in.channels(), c0 + walk.cchunk);
+        for (unsigned y = 0; y < walk.oh; ++y) {
+            for (unsigned x = 0; x < walk.ow; ++x) {
                 unsigned count = 0;
                 bs::zero(arr, acc);
-                for (unsigned ri = 0; ri < r; ++ri) {
-                    for (unsigned si = 0; si < s; ++si) {
-                        int iy = static_cast<int>(y * stride + ri) -
-                                 static_cast<int>(ph);
-                        int ix = static_cast<int>(x * stride + si) -
-                                 static_cast<int>(pw);
-                        if (iy < 0 || ix < 0 ||
-                            iy >= static_cast<int>(in.height()) ||
-                            ix >= static_cast<int>(in.width()))
-                            continue;
-                        std::fill(iv.begin(), iv.end(), 0);
-                        for (unsigned ci = c0; ci < c1; ++ci)
-                            iv[ci - c0] = in.at(ci, iy, ix);
-                        bs::storeVector(arr, cur, iv);
-                        bs::add(arr, acc, cur, acc, zrow);
-                        ++count;
-                    }
-                }
+                walk.window(iv, y, x, c0, [&] {
+                    bs::storeVector(arr, cur, iv);
+                    bs::add(arr, acc, cur, acc, zrow);
+                    ++count;
+                });
                 // TF SAME averages exclude padding: divide by the
                 // valid count — a shift when it is a power of two,
                 // the restoring divider otherwise (divisor streamed
@@ -694,35 +646,6 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
         }
     }
     return out;
-}
-
-std::pair<uint64_t, uint64_t>
-Executor::minMax(const std::vector<uint64_t> &vals, unsigned bits)
-{
-    unsigned cols = cc.geometry().arrayCols;
-    nc_assert(!vals.empty() && vals.size() <= cols,
-              "minMax over %zu values", vals.size());
-    unsigned lanes =
-        static_cast<unsigned>(roundUpPow2(vals.size()));
-
-    sram::Array &arr = cc.array(kHelperScratch);
-    bs::RowAllocator rows(cc.geometry().arrayRows);
-    bs::VecSlice mx = rows.alloc(bits);
-    bs::VecSlice mn = rows.alloc(bits);
-    bs::VecSlice mv = rows.alloc(bits);
-    bs::VecSlice cmp = rows.alloc(bits);
-
-    // Max tree pads with 0, min tree pads with all-ones.
-    std::vector<uint64_t> vmax(lanes, 0);
-    std::vector<uint64_t> vmin(lanes, lowMask(bits));
-    for (size_t i = 0; i < vals.size(); ++i)
-        vmax[i] = vmin[i] = vals[i];
-    bs::storeVector(arr, mx, vmax);
-    bs::reduceMax(arr, mx, lanes, mv, cmp, /*take_min=*/false);
-    bs::storeVector(arr, mn, vmin);
-    bs::reduceMax(arr, mn, lanes, mv, cmp, /*take_min=*/true);
-
-    return {bs::loadLane(arr, mn, 0), bs::loadLane(arr, mx, 0)};
 }
 
 std::vector<uint8_t>
@@ -834,29 +757,6 @@ Executor::eltwiseAdd(const std::vector<uint8_t> &a,
                      unsigned shift)
 {
     return prepareEltwise(mult, shift, kHelperScratch).run(a, b);
-}
-
-std::vector<uint8_t>
-Executor::relu(const std::vector<uint8_t> &vals)
-{
-    const unsigned bits = 8;
-    unsigned cols = cc.geometry().arrayCols;
-    nc_assert(vals.size() <= cols, "relu: %zu values exceed %u lanes",
-              vals.size(), cols);
-
-    sram::Array &arr = cc.array(kHelperScratch);
-    bs::RowAllocator rows(cc.geometry().arrayRows);
-    bs::VecSlice v = rows.alloc(bits);
-
-    std::vector<uint64_t> iv(vals.begin(), vals.end());
-    bs::storeVector(arr, v, iv);
-    bs::relu(arr, v);
-
-    std::vector<uint8_t> out(vals.size());
-    for (size_t i = 0; i < vals.size(); ++i)
-        out[i] = static_cast<uint8_t>(
-            bs::loadLane(arr, v, static_cast<unsigned>(i)));
-    return out;
 }
 
 } // namespace nc::core

@@ -21,7 +21,7 @@
  * directly.
  *
  * Parallelism: the independent units of a layer fan out over a
- * common::ThreadPool. A conv/fc pass runs its (filter batch, channel
+ * common::ThreadPool. A conv pass runs its (filter batch, channel
  * chunk) arrays in lockstep groups, the way a slice broadcasts one
  * instruction to all its arrays (§IV-F): each task copies a
  * contiguous run of arrays side by side into one task-private group
@@ -32,7 +32,8 @@
  * min(n, pool size), or 1 when the call already runs inside a pool
  * task (a branch or image fan-out), where the inner loop runs
  * inline. A group holding a faulted or reference-mode array runs
- * each member on its own array instead. maxPool fans out chunks of
+ * as groups of one, each on its own array with no copies: the same
+ * window loop, the per-array touch sequence. maxPool fans out chunks of
  * output windows. Each task owns its arrays and writes a disjoint
  * slice of the output, so outputs and every array's rows, latches
  * and cycle counters are bit-identical for any thread count, and
@@ -44,11 +45,15 @@
  * Scope: shapes inside the one-array-per-filter-batch envelope run
  * the original untransformed mapping (bit- and cycle-identical to the
  * historical kernels). Larger shapes engage the §IV-A transforms the
- * mapper plans (mapping::planFunctionalConv): 1x1 filter packing,
- * filter splitting for wide windows, and channel chunking across
- * arrays with the per-chunk partials merged after read-out — which is
- * what lets Inception-scale layers (2048-channel 1x1s, 5x5 windows)
- * execute functionally.
+ * mapper plans (mapping::planFunctionalConv, run once at compile and
+ * handed to prepareConv): 1x1 filter packing, filter splitting for
+ * wide windows, and channel chunking across arrays with the per-chunk
+ * partials merged after read-out — which is what lets Inception-scale
+ * layers (2048-channel 1x1s, 5x5 windows) execute functionally. The
+ * plan's lane table (mapping::ConvLaneTable) is the one statement of
+ * which lane and MAC slot hold channel c at window position k: filter
+ * pinning writes weights through it, and one gather stages conv
+ * inputs through it and pool window elements as unit-stride runs.
  */
 
 #ifndef NC_CORE_EXECUTOR_HH
@@ -72,9 +77,9 @@ namespace nc::core
 /**
  * Executes quantized layers on compute-cache arrays. The pool and
  * requantize kernels run on the scratch array their caller names
- * (kHelperScratch when it names none); minMax, eltwiseAdd and relu
- * always scribble on kHelperScratch, and the prepared kernels run on
- * the arrays their caller placed.
+ * (kHelperScratch when it names none); eltwiseAdd always scribbles
+ * on kHelperScratch, and the prepared kernels run on the arrays their
+ * caller placed.
  */
 class Executor
 {
@@ -143,21 +148,10 @@ class Executor
          */
         void pinReplica(const dnn::QWeights &w, uint64_t array_offset);
 
-        /** First flat array index of the layer's band. */
-        uint64_t baseArray() const { return base; }
         /** Arrays the band holds (>= chunks, <= m x chunks). */
         uint64_t bandArrays() const { return band; }
-        /** Filter batches (output channels). */
-        unsigned filterBatches() const { return m; }
-        /** Arrays one filter batch spans (channel chunks). */
-        unsigned chunksPerBatch() const { return fplan.chunks; }
         /** Whether filters stay pinned across run() calls. */
         bool resident() const { return isResident; }
-        /** The mapper's transform selection for this layer. */
-        const mapping::FunctionalConvPlan &plan() const
-        {
-            return fplan;
-        }
         /** The shared Figure-10 row carve-up program() addresses. */
         const mapping::ConvRowLayout &rowLayout() const
         {
@@ -185,16 +179,18 @@ class Executor
         uint64_t band = 0;
         mapping::FunctionalConvPlan fplan;
         mapping::ConvRowLayout rows; ///< shared Figure-10 carve-up
+        mapping::ConvLaneTable table; ///< which lane holds what
         std::vector<Instruction> prog; ///< per-window program
     };
 
     /**
-     * Compile-once half of conv(): fix the per-array row layout and pin
-     * @p w stationary in the band [base_array, base_array +
-     * band_arrays). The returned layer can then run() any number of
-     * inputs without repeating this work. Layers prepared at different
-     * base offsets coexist (each owns its arrays), which is how
-     * CompiledModel keeps a whole network resident.
+     * Compile-once half of conv(): fix the per-array row layout and
+     * lane table of @p plan (the mapper's planFunctionalConv of this
+     * layer) and pin @p w stationary in the band [base_array,
+     * base_array + band_arrays). The returned layer can then run() any
+     * number of inputs without repeating this work. Layers prepared at
+     * different base offsets coexist (each owns its arrays), which is
+     * how CompiledModel keeps a whole network resident.
      *
      * @param band_arrays arrays granted to the layer; 0 means the
      *     full m x chunks (whole layer resident). A smaller band (at
@@ -204,8 +200,10 @@ class Executor
      *     covers the layer (the filters are re-pinned on every run
      *     because other layers time-share the same arrays).
      */
-    PreparedConv prepareConv(const dnn::QWeights &w, unsigned stride,
-                             bool same_pad, uint64_t base_array = 0,
+    PreparedConv prepareConv(const dnn::QWeights &w,
+                             const mapping::FunctionalConvPlan &plan,
+                             unsigned stride, bool same_pad,
+                             uint64_t base_array = 0,
                              uint64_t band_arrays = 0,
                              bool resident = true);
 
@@ -266,23 +264,14 @@ class Executor
                                     uint8_t mult, unsigned shift);
 
     /**
-     * Quantized convolution (unsigned, zero-point-free): returns the
-     * raw accumulators in [m][oh][ow] order, exactly like
-     * dnn::convQuantUnsigned.
+     * Quantized convolution (unsigned, zero-point-free): plan, prepare
+     * and run once at array 0. Returns the raw accumulators in
+     * [m][oh][ow] order, exactly like dnn::convQuantUnsigned.
      */
     std::vector<uint32_t> conv(const dnn::QTensor &in,
                                const dnn::QWeights &w, unsigned stride,
                                bool same_pad, unsigned &out_h,
                                unsigned &out_w);
-
-    /**
-     * Fully-connected layer: out[m] = sum_c in[c] * w[m][c][0][0],
-     * i.e. a 1x1 convolution over a 1x1 feature map with the same
-     * channel-per-bit-line mapping and per-filter-batch parallelism.
-     * Weights must be 1x1 with w.c == in.size().
-     */
-    std::vector<uint32_t> fc(const std::vector<uint8_t> &in,
-                             const dnn::QWeights &w);
 
     /**
      * Max pooling through bit-serial compare/select: each window runs
@@ -308,17 +297,6 @@ class Executor
     dnn::QTensor avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
                          unsigned stride, bool same_pad = false,
                          uint64_t scratch_array = kHelperScratch);
-
-    /** ReLU on int8-style values stored as two's complement bytes. */
-    std::vector<uint8_t> relu(const std::vector<uint8_t> &vals);
-
-    /**
-     * In-array min/max over a set of @p bits-wide values (the
-     * quantization range search of §IV-D). Lane padding uses 0 for
-     * the max tree and all-ones for the min tree.
-     */
-    std::pair<uint64_t, uint64_t> minMax(
-        const std::vector<uint64_t> &vals, unsigned bits);
 
     /**
      * In-cache requantization (§IV-D) on @p scratch_array: q = (acc *

@@ -222,8 +222,6 @@ makeConvRowLayout(const cache::Geometry &geom,
               "conv layout: %u lanes exceed %u bit lines", l.lanes,
               geom.arrayCols);
     l.rs = plan.effRS;
-    l.packFactor = plan.packFactor;
-    l.splitFactor = plan.splitFactor;
     l.redBits = acc_bits + log2Ceil(static_cast<uint64_t>(l.lanes));
     unsigned input_slots = plan.packFactor > 1 ? 1 : l.rs;
 
@@ -247,6 +245,40 @@ makeConvRowLayout(const cache::Geometry &geom,
               "%u", rows.used(),
               convLayoutRowsEx(l.lanes, l.rs, input_slots));
     return l;
+}
+
+ConvLaneTable
+makeConvLaneTable(const FunctionalConvPlan &plan, unsigned r,
+                  unsigned s)
+{
+    const unsigned pack = plan.packFactor;
+    const unsigned split = plan.splitFactor;
+    nc_assert(plan.fits && (pack > 1 ? r * s == 1
+                                     : plan.effRS * split >= r * s),
+              "lane table of a %ux%u window requested for a plan that "
+              "does not place it", r, s);
+    ConvLaneTable t;
+    t.slots.resize(plan.effRS);
+    for (unsigned k = 0; k < plan.effRS; ++k) {
+        if (pack > 1) {
+            // Packed 1x1: lane l holds channel l * pack + k.
+            if (k < plan.chunkChannels)
+                t.slots[k].push_back(
+                    {0, 0, 0, 1, k, pack,
+                     static_cast<unsigned>(
+                         divCeil(plan.chunkChannels - k, pack))});
+            continue;
+        }
+        // Split part j of every channel holds window position
+        // j * effRS + k (split == 1: the untransformed mapping).
+        for (unsigned j = 0; j < split; ++j) {
+            unsigned kg = j * plan.effRS + k;
+            if (kg < r * s)
+                t.slots[k].push_back({kg / s, kg % s, j, split, 0, 1,
+                                      plan.chunkChannels});
+        }
+    }
+    return t;
 }
 
 EltwiseRowLayout

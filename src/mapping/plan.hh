@@ -13,12 +13,15 @@
  *  - the slice partition of output pixels (consecutive E's per slice,
  *    Figure 11).
  *
- * Pool layers map like convs without filters (PoolPlan).
+ * Pool layers map like convs without filters (PoolPlan). The
+ * functional executor's side is FunctionalConvPlan, planned once per
+ * compiled conv, and the ConvLaneTable built from it.
  */
 
 #ifndef NC_MAPPING_PLAN_HH
 #define NC_MAPPING_PLAN_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -143,12 +146,52 @@ struct ConvRowLayout
     unsigned lanes = 0;   ///< bit lines per chunk (one per lane)
     unsigned rs = 0;      ///< MAC slots per lane (effRS)
     unsigned redBits = 0; ///< partial width incl. reduction headroom
-    unsigned packFactor = 1;  ///< channels sharing one bit line
-    unsigned splitFactor = 1; ///< bit lines one channel spreads over
     std::vector<bitserial::VecSlice> filt, inp;
     bitserial::VecSlice scratch, partial, redScratch;
     unsigned zrow = 0;    ///< reserved all-zero word line
 };
+
+/**
+ * One run of a MAC slot's bit lines: lanes lane0, lane0 + laneStride,
+ * ... hold the chunk-relative channels ch0, ch0 + chStride, ... at
+ * window position (dy, dx). A full channel chunk fills `count` lanes;
+ * a short last chunk fills lanesIn() of them.
+ */
+struct LaneRun
+{
+    unsigned dy = 0, dx = 0;
+    unsigned lane0 = 0, laneStride = 1;
+    unsigned ch0 = 0, chStride = 1;
+    unsigned count = 0;
+
+    /** Lanes the run fills in a chunk of @p channels channels. */
+    unsigned
+    lanesIn(unsigned channels) const
+    {
+        return ch0 >= channels
+                   ? 0
+                   : std::min(count, (channels - ch0 + chStride - 1) /
+                                         chStride);
+    }
+};
+
+/**
+ * The §IV-A placement of one conv layer's channel chunk as data:
+ * slots[k] lists the lane runs MAC slot k holds. Untransformed, slot k
+ * is window position k on lane c; packed 1x1, slot k holds channels
+ * l * packFactor + k on lane l; split, slot k holds position
+ * j * effRS + k of channel c on lane c * splitFactor + j. Filter
+ * pinning writes weights through it and the conv kernel stages every
+ * window's inputs through it, so both read the one rule.
+ */
+struct ConvLaneTable
+{
+    std::vector<std::vector<LaneRun>> slots;
+};
+
+/** Build the lane table of an @p r x @p s conv under @p plan. */
+ConvLaneTable makeConvLaneTable(const FunctionalConvPlan &plan,
+                                unsigned r, unsigned s);
 
 /** Word lines the untransformed carve-up of (c, r, s) needs, zero
  * row included. */

@@ -162,17 +162,21 @@ getTensor(Cursor &c, dnn::QTensor &t, std::string &error)
         return false;
     }
     // An all-zero dim triple is the explicit "no tensor" encoding of
-    // non-Ok responses; a partially zero one is malformed.
+    // non-Ok responses (its params still round-trip); a partially
+    // zero one is malformed.
     if (ch == 0 && h == 0 && w == 0) {
-        t = dnn::QTensor();
+        t = dnn::QTensor(0, 0, 0, dnn::QuantParams{lo, hi});
         return true;
     }
     if (ch == 0 || h == 0 || w == 0) {
         error = "degenerate tensor dims";
         return false;
     }
-    uint64_t n = static_cast<uint64_t>(ch) * h * w;
-    if (n > kMaxFrameBytes) {
+    // Bound ch * h before multiplying by w: three 32-bit dims can
+    // reach 2^96, so the full product can wrap 64 bits to a small n.
+    const uint64_t plane = static_cast<uint64_t>(ch) * h;
+    const uint64_t n = plane * w;
+    if (plane > kMaxFrameBytes || n > kMaxFrameBytes) {
         error = "tensor larger than the frame ceiling";
         return false;
     }

@@ -32,7 +32,6 @@ TEST(ImplFormulas, ClosedFormsAreInternallyConsistent)
     EXPECT_EQ(implMulCycles(8), 96u);
     EXPECT_EQ(implMulCycles(4, 2), 6u + 2u * 6u);
     EXPECT_EQ(implMacScratchCycles(8, 24), 120u);
-    EXPECT_EQ(implMacFusedCycles(8, 24), 8u * 25u - 28u);
     EXPECT_EQ(implMaxCycles(8), 25u);
     EXPECT_EQ(implReluCycles(8), 9u);
     EXPECT_EQ(implCompareCycles(8), 17u);

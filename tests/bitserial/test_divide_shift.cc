@@ -22,19 +22,6 @@ struct Rig
     Rig() : zrow(rows.zeroRow()) {}
 };
 
-TEST(ShiftUp, MultipliesByPowerOfTwo)
-{
-    Rig rig;
-    VecSlice v = rig.rows.alloc(8);
-    storeVector(rig.arr, v, {1, 3, 0x80});
-    uint64_t cycles = shiftUp(rig.arr, v, 2);
-    EXPECT_EQ(cycles, implShiftCycles(8));
-    auto r = loadVector(rig.arr, v);
-    EXPECT_EQ(r[0], 4u);
-    EXPECT_EQ(r[1], 12u);
-    EXPECT_EQ(r[2], 0u); // high bits shift out
-}
-
 TEST(ShiftDown, DividesByPowerOfTwo)
 {
     Rig rig;
@@ -52,7 +39,7 @@ TEST(Shift, WholeWidthClears)
     Rig rig;
     VecSlice v = rig.rows.alloc(8);
     storeVector(rig.arr, v, {0xff});
-    shiftUp(rig.arr, v, 8);
+    shiftDown(rig.arr, v, 8);
     EXPECT_EQ(loadVector(rig.arr, v)[0], 0u);
     storeVector(rig.arr, v, {0xff});
     shiftDown(rig.arr, v, 9);

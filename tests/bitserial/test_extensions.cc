@@ -225,55 +225,6 @@ TEST(Saturate, PropertyMatchesMin)
             << "lane " << i;
 }
 
-TEST(Negate, TwosComplement)
-{
-    Rig rig;
-    VecSlice v = rig.rows.alloc(8);
-    storeVector(rig.arr, v, {1, 0, 255, 128, 42});
-    uint64_t cycles = negate(rig.arr, v, rig.zrow);
-    EXPECT_EQ(cycles, implNegateCycles(8));
-    auto r = loadVector(rig.arr, v);
-    EXPECT_EQ(r[0], 255u); // -1
-    EXPECT_EQ(r[1], 0u);   // -0
-    EXPECT_EQ(r[2], 1u);   // -(-1)
-    EXPECT_EQ(r[3], 128u); // INT_MIN negates to itself
-    EXPECT_EQ(r[4], 214u);
-}
-
-TEST(AbsDiff, LaneWiseMagnitude)
-{
-    Rig rig;
-    VecSlice a = rig.rows.alloc(8), b = rig.rows.alloc(8);
-    VecSlice out = rig.rows.alloc(8), s = rig.rows.alloc(8);
-    storeVector(rig.arr, a, {10, 3, 200, 77});
-    storeVector(rig.arr, b, {3, 10, 255, 77});
-    uint64_t cycles = absDiff(rig.arr, a, b, out, s, rig.zrow);
-    EXPECT_EQ(cycles, implAbsDiffCycles(8));
-    auto r = loadVector(rig.arr, out);
-    EXPECT_EQ(r[0], 7u);
-    EXPECT_EQ(r[1], 7u);
-    EXPECT_EQ(r[2], 55u);
-    EXPECT_EQ(r[3], 0u);
-}
-
-TEST(AbsDiff, PropertyRandom)
-{
-    nc::Rng rng(55);
-    Rig rig;
-    VecSlice a = rig.rows.alloc(8), b = rig.rows.alloc(8);
-    VecSlice out = rig.rows.alloc(8), s = rig.rows.alloc(8);
-    auto av = rng.bitVector(kLanes, 8);
-    auto bv = rng.bitVector(kLanes, 8);
-    storeVector(rig.arr, a, av);
-    storeVector(rig.arr, b, bv);
-    absDiff(rig.arr, a, b, out, s, rig.zrow);
-    auto r = loadVector(rig.arr, out);
-    for (unsigned i = 0; i < kLanes; ++i) {
-        uint64_t want = av[i] > bv[i] ? av[i] - bv[i] : bv[i] - av[i];
-        EXPECT_EQ(r[i], want) << av[i] << " vs " << bv[i];
-    }
-}
-
 TEST(TagMicroOps, TagOrFoldsOverflowBits)
 {
     nc::sram::Array arr(8, 4);

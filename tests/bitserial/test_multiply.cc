@@ -119,48 +119,6 @@ TEST(MultiplyCost, WithinPaperEnvelope)
     }
 }
 
-/** MAC variants agree with acc += a*b and with each other. */
-class MacProperty : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(MacProperty, FusedAndScratchMatch)
-{
-    unsigned n = GetParam();
-    unsigned w = 3 * n; // accumulator with headroom
-    nc::Rng rng(5 + n);
-
-    Rig rig;
-    VecSlice a = rig.rows.alloc(n), b = rig.rows.alloc(n);
-    VecSlice acc1 = rig.rows.alloc(w), acc2 = rig.rows.alloc(w);
-    VecSlice scratch = rig.rows.alloc(2 * n);
-
-    auto av = rng.bitVector(kLanes, n);
-    auto bv = rng.bitVector(kLanes, n);
-    auto iv = rng.bitVector(kLanes, 2 * n); // pre-existing partials
-    storeVector(rig.arr, a, av);
-    storeVector(rig.arr, b, bv);
-    storeVector(rig.arr, acc1, iv);
-    storeVector(rig.arr, acc2, iv);
-
-    uint64_t c1 = macFused(rig.arr, a, b, acc1, rig.zrow);
-    EXPECT_EQ(c1, implMacFusedCycles(n, w));
-    uint64_t c2 =
-        macScratch(rig.arr, a, b, acc2, scratch, rig.zrow);
-    EXPECT_EQ(c2, implMacScratchCycles(n, w));
-
-    auto r1 = loadVector(rig.arr, acc1);
-    auto r2 = loadVector(rig.arr, acc2);
-    for (unsigned i = 0; i < kLanes; ++i) {
-        uint64_t want = nc::truncate(iv[i] + av[i] * bv[i], w);
-        EXPECT_EQ(r1[i], want) << "fused lane " << i;
-        EXPECT_EQ(r2[i], want) << "scratch lane " << i;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, MacProperty,
-                         ::testing::Values(2, 4, 8));
-
 TEST(Mac, RepeatedAccumulationConvergesToDotProduct)
 {
     // Nine 8-bit MACs into a 24-bit partial sum: one conv window's

@@ -48,12 +48,6 @@ TEST(ComputeCache, AccessCyclesAggregated)
     EXPECT_EQ(cc.totalAccessCycles(), 2u);
 }
 
-TEST(ComputeCache, RingStopsFollowGeometry)
-{
-    ComputeCache cc(Geometry::scaled60MB());
-    EXPECT_EQ(cc.ring().stops, 24u);
-}
-
 TEST(ComputeCacheDeath, IndexOutOfRange)
 {
     ComputeCache cc;

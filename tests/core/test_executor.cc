@@ -152,20 +152,6 @@ TEST(Executor, MaxPoolMatchesReference)
                 EXPECT_EQ(got.at(c, y, x), want.at(c, y, x));
 }
 
-TEST(Executor, ReluMatchesSignedClamp)
-{
-    cache::ComputeCache cc;
-    Executor ex(cc);
-    std::vector<uint8_t> vals{0, 1, 127, 128, 200, 255};
-    auto out = ex.relu(vals);
-    EXPECT_EQ(out[0], 0);
-    EXPECT_EQ(out[1], 1);
-    EXPECT_EQ(out[2], 127);
-    EXPECT_EQ(out[3], 0); // -128 clamps
-    EXPECT_EQ(out[4], 0);
-    EXPECT_EQ(out[5], 0); // -1 clamps
-}
-
 TEST(Executor, EveryFilterArrayRunsTheSameStream)
 {
     // One array per filter batch, each running the layer's window
@@ -176,7 +162,11 @@ TEST(Executor, EveryFilterArrayRunsTheSameStream)
     Executor ex(cc);
     QTensor in = randomInput(rng, 4, 4, 4);
     QWeights w = randomWeights(rng, 6, 4, 3, 3);
-    auto layer = ex.prepareConv(w, 1, true);
+    auto layer = ex.prepareConv(
+        w,
+        mapping::planFunctionalConv(dnn::conv("c", 4, 4, 4, 3, 3, 6).conv,
+                                    cc.geometry()),
+        1, true);
     unsigned oh, ow;
     layer.run(in, w, oh, ow);
 

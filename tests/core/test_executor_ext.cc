@@ -84,38 +84,6 @@ TEST(ExecutorAvgPool, InceptionHeadShape)
     }
 }
 
-TEST(ExecutorMinMax, FindsRange)
-{
-    cache::ComputeCache cc;
-    Executor ex(cc);
-    auto [mn, mx] = ex.minMax({900, 3, 77, 1024, 3}, 16);
-    EXPECT_EQ(mn, 3u);
-    EXPECT_EQ(mx, 1024u);
-}
-
-TEST(ExecutorMinMax, SingleValue)
-{
-    cache::ComputeCache cc;
-    Executor ex(cc);
-    auto [mn, mx] = ex.minMax({42}, 8);
-    EXPECT_EQ(mn, 42u);
-    EXPECT_EQ(mx, 42u);
-}
-
-TEST(ExecutorMinMax, PropertyRandom)
-{
-    Rng rng(12);
-    cache::ComputeCache cc;
-    Executor ex(cc);
-    for (int t = 0; t < 5; ++t) {
-        auto n = static_cast<size_t>(rng.uniformInt(1, 200));
-        auto vals = rng.bitVector(n, 20);
-        auto [mn, mx] = ex.minMax(vals, 20);
-        EXPECT_EQ(mn, *std::min_element(vals.begin(), vals.end()));
-        EXPECT_EQ(mx, *std::max_element(vals.begin(), vals.end()));
-    }
-}
-
 TEST(ExecutorRequantize, TruncatingMultiplyShift)
 {
     cache::ComputeCache cc;

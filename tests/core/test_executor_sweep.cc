@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <sstream>
+#include <string>
+
 #include "common/rng.hh"
 #include "core/executor.hh"
 
@@ -21,6 +25,25 @@ struct Shape
     unsigned c, h, w, m, r, s, stride;
     bool same_pad;
 };
+
+/** The shape spelled out, e.g. c300_4x4_m2_k3x3_u1_same: the case
+ * name, and what gtest prints for the parameter (the default prints
+ * the struct's raw bytes, padding included, which vary by build). */
+std::string
+spell(const Shape &sh)
+{
+    std::ostringstream os;
+    os << "c" << sh.c << "_" << sh.h << "x" << sh.w << "_m" << sh.m
+       << "_k" << sh.r << "x" << sh.s << "_u" << sh.stride
+       << (sh.same_pad ? "_same" : "_valid");
+    return os.str();
+}
+
+void
+PrintTo(const Shape &sh, std::ostream *os)
+{
+    *os << spell(sh);
+}
 
 class ExecutorSweep : public ::testing::TestWithParam<Shape>
 {
@@ -73,6 +96,37 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{12, 7, 5, 2, 5, 1, 1, true},
         // wide but shallow (the FC-as-conv corner)
         Shape{128, 1, 1, 3, 1, 1, 1, true},
-        Shape{256, 1, 1, 2, 1, 1, 1, true}));
+        Shape{256, 1, 1, 2, 1, 1, 1, true},
+        // every kind of lane-table run on the default geometry (see
+        // SweepEngagesEveryMappingKind): packed 1x1, packed 1x1 over
+        // two chunks, split 5x5, and a 3x3 over two channel chunks
+        Shape{300, 3, 3, 2, 1, 1, 1, true},
+        Shape{4100, 2, 2, 2, 1, 1, 1, true},
+        Shape{8, 6, 6, 2, 5, 5, 1, true},
+        Shape{300, 4, 4, 2, 3, 3, 1, true}),
+    [](const ::testing::TestParamInfo<Shape> &info) {
+        return spell(info.param);
+    });
+
+TEST(ExecutorSweep, SweepEngagesEveryMappingKind)
+{
+    // The shapes appended last must keep engaging the transform each
+    // one is there for: (pack, split, chunks) per the mapper.
+    struct Want
+    {
+        unsigned c, r, s, pack, split, chunks;
+    };
+    const cache::Geometry geom;
+    for (const Want &k : {Want{300, 1, 1, 16, 1, 1},
+                          Want{4100, 1, 1, 16, 1, 2},
+                          Want{8, 5, 5, 1, 3, 1},
+                          Want{300, 3, 3, 1, 1, 2}}) {
+        mapping::FunctionalConvPlan p = mapping::planFunctionalConv(
+            dnn::conv("c", 4, 4, k.c, k.r, k.s, 2).conv, geom);
+        EXPECT_EQ(p.packFactor, k.pack) << k.c << " " << k.r;
+        EXPECT_EQ(p.splitFactor, k.split) << k.c << " " << k.r;
+        EXPECT_EQ(p.chunks, k.chunks) << k.c << " " << k.r;
+    }
+}
 
 } // namespace

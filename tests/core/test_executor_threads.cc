@@ -132,7 +132,13 @@ runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
         cc.configureFaults(cfg);
     }
     Executor ex(cc, threads);
-    auto layer = ex.prepareConv(w, 1, true, 0, gc.band);
+    const mapping::FunctionalConvPlan plan = mapping::planFunctionalConv(
+        dnn::conv(gc.name, gc.h, gc.w, gc.c, gc.r, gc.s, gc.m).conv,
+        cc.geometry());
+    EXPECT_EQ(plan.packFactor, gc.pack);
+    EXPECT_EQ(plan.splitFactor, gc.split);
+    EXPECT_EQ(plan.chunks, gc.chunks);
+    auto layer = ex.prepareConv(w, plan, 1, true, 0, gc.band);
     if (gc.faultyArray >= 0) {
         EXPECT_NE(cc.array(gc.faultyArray).faultRecord(),
                   nullptr);
@@ -140,9 +146,6 @@ runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
         EXPECT_GE(kStuckRow, partial.base);
         EXPECT_LT(kStuckRow, partial.base + partial.bits);
     }
-    EXPECT_EQ(layer.plan().packFactor, gc.pack);
-    EXPECT_EQ(layer.plan().splitFactor, gc.split);
-    EXPECT_EQ(layer.plan().chunks, gc.chunks);
     EXPECT_EQ(layer.resident(), gc.band == 0);
     if (reference)
         for (uint64_t i = 0; i < layer.bandArrays(); ++i)
@@ -279,23 +282,19 @@ TEST(ExecutorThreads, MaxPoolIdenticalAcrossThreadCounts)
 
 TEST(ExecutorThreads, FcMatchesReference)
 {
+    // A fully-connected layer is a 1x1 conv over a 1x1 map.
     Rng rng(407);
-    std::vector<uint8_t> in(24);
-    for (auto &v : in)
+    QTensor in(24, 1, 1);
+    for (auto &v : in.data())
         v = static_cast<uint8_t>(rng.uniformBits(8));
     QWeights w = randomWeights(rng, 10, 24, 1, 1);
 
     cache::ComputeCache cc;
     Executor ex(cc, 3);
-    auto got = ex.fc(in, w);
-    ASSERT_EQ(got.size(), 10u);
-
-    QTensor t(24, 1, 1);
-    for (unsigned ci = 0; ci < 24; ++ci)
-        t.at(ci, 0, 0) = in[ci];
     unsigned oh, ow;
-    auto want = dnn::convQuantUnsigned(t, w, 1, false, oh, ow);
-    EXPECT_EQ(got, want);
+    auto got = ex.conv(in, w, 1, false, oh, ow);
+    ASSERT_EQ(got.size(), 10u);
+    EXPECT_EQ(got, dnn::convQuantUnsigned(in, w, 1, false, oh, ow));
 }
 
 TEST(ExecutorThreads, NcThreadsEnvSelectsDefault)

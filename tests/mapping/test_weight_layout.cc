@@ -143,6 +143,54 @@ TEST(WeightLayout, MultiArrayConvSpansArrays)
     EXPECT_LT(far.lane, g.arrayCols);
 }
 
+TEST(WeightLayout, LaneTableAgreesWithHomes)
+{
+    // The executor's lane table and homeOf state the §IV-A rule
+    // independently. Where the analytic and functional plans pick the
+    // same transform, every filter element of batch 0 must sit on the
+    // same lane and MAC slot in both.
+    Geometry g = Geometry::xeonE5_35MB();
+    struct Case
+    {
+        const char *name;
+        unsigned c, r, s;
+    };
+    for (const Case &cs : {Case{"untransformed", 64, 3, 3},
+                           Case{"split", 8, 5, 5},
+                           Case{"packed", 300, 1, 1}}) {
+        SCOPED_TRACE(cs.name);
+        auto op = conv(cs.name, 8, 8, cs.c, cs.r, cs.s, 4).conv;
+        ConvPlan plan = planConv(op, g);
+        FunctionalConvPlan fp = planFunctionalConv(op, g);
+        ASSERT_EQ(plan.ft.packFactor, fp.packFactor);
+        ASSERT_EQ(plan.ft.splitFactor, fp.splitFactor);
+        ASSERT_EQ(plan.ft.effRS, fp.effRS);
+        ASSERT_EQ(fp.chunks, 1u);
+        WeightLayout wl(op, plan, g);
+        ConvLaneTable table = makeConvLaneTable(fp, cs.r, cs.s);
+        ASSERT_EQ(table.slots.size(), fp.effRS);
+
+        std::set<std::pair<unsigned, unsigned>> seen; // (channel, k)
+        for (unsigned slot = 0; slot < fp.effRS; ++slot) {
+            for (const LaneRun &run : table.slots[slot]) {
+                for (unsigned i = 0; i < run.count; ++i) {
+                    unsigned lane = run.lane0 + i * run.laneStride;
+                    unsigned ch = run.ch0 + i * run.chStride;
+                    unsigned k = run.dy * cs.s + run.dx;
+                    ASSERT_LT(lane, fp.lanes);
+                    WeightHome h = wl.homeOf(0, ch, k);
+                    EXPECT_EQ(lane, h.lane) << "c " << ch << " k " << k;
+                    EXPECT_EQ(slot, h.row / 8) << "c " << ch << " k "
+                                               << k;
+                    EXPECT_TRUE(seen.insert({ch, k}).second)
+                        << "c " << ch << " k " << k << " placed twice";
+                }
+            }
+        }
+        EXPECT_EQ(seen.size(), size_t(cs.c) * cs.r * cs.s);
+    }
+}
+
 TEST(WeightLayoutDeath, OutOfRangeElement)
 {
     Geometry g = Geometry::xeonE5_35MB();

@@ -199,6 +199,54 @@ TEST(Wire, RejectsDegenerateTensorDims)
     EXPECT_NE(err.find("degenerate"), std::string::npos) << err;
 }
 
+/**
+ * Patch @p frame's tensor dims (the tensor of @p tensor_bytes ends the
+ * frame) to @p ch x @p h x @p w and drop the tensor bytes.
+ */
+void
+forgeDims(std::vector<uint8_t> &frame, size_t tensor_bytes, uint32_t ch,
+          uint32_t h, uint32_t w)
+{
+    const size_t at = frame.size() - tensor_bytes - 20;
+    const uint32_t dims[3] = {ch, h, w};
+    for (unsigned d = 0; d < 3; ++d)
+        for (unsigned b = 0; b < 4; ++b)
+            frame[at + 4 * d + b] =
+                static_cast<uint8_t>(dims[d] >> (8 * b));
+    frame.resize(at + 20);
+}
+
+TEST(Wire, RejectsDimsWhoseProductWraps)
+{
+    // 2^22 x 2^21 x 2^21 = 2^64 wraps a 64-bit product to 0: with no
+    // tensor bytes behind them, such dims must still be refused as
+    // larger than the frame ceiling — not accepted as an empty
+    // tensor whose every at() reads out of bounds.
+    const uint32_t ch = 1u << 22, h = 1u << 21, w = 1u << 21;
+
+    wire::RequestFrame req;
+    req.id = 1;
+    req.input = someTensor();
+    std::vector<uint8_t> rq;
+    wire::encodeRequest(req, rq);
+    forgeDims(rq, req.input.size(), ch, h, w);
+    wire::RequestFrame rqOut;
+    std::string err;
+    EXPECT_FALSE(wire::decodeRequest(payloadOf(rq), rqOut, err));
+    EXPECT_NE(err.find("frame ceiling"), std::string::npos) << err;
+
+    wire::ResponseFrame rsp;
+    rsp.id = 2;
+    rsp.output = someTensor(11);
+    std::vector<uint8_t> rs;
+    wire::encodeResponse(rsp, rs);
+    forgeDims(rs, rsp.output.size(), ch, h, w);
+    wire::ResponseFrame rsOut;
+    err.clear();
+    EXPECT_FALSE(wire::decodeResponse(payloadOf(rs), rsOut, err));
+    EXPECT_NE(err.find("frame ceiling"), std::string::npos) << err;
+}
+
 TEST(Wire, FrameReaderReassemblesByteByByte)
 {
     wire::RequestFrame req;
