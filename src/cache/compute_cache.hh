@@ -13,7 +13,7 @@
  * broadcast literally: a pass's arrays run side by side as members of
  * one group array (sram::Array member width), so each host op serves
  * them all, and every array is charged what it would count alone.
- * The cache holds arrays only: the interconnect, DRAM channel and CBox
+ * The cache holds arrays only: the DRAM channel and intra-slice bus
  * timing models belong to core::CostModel.
  */
 

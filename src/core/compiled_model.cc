@@ -346,12 +346,6 @@ dnn::QTensor
 CompiledModel::runLayers(const dnn::QTensor &input,
                          uint64_t array_offset)
 {
-    nc_assert(input.channels() == inC && input.height() == inH &&
-                  input.width() == inW,
-              "input is %ux%ux%u, network '%s' expects %ux%ux%u",
-              input.channels(), input.height(), input.width(),
-              net.name.c_str(), inC, inH, inW);
-
     dnn::QTensor act = input;
     for (const CompiledStage &stage : stages) {
         // Fast path: a plain single-branch chain moves the
@@ -580,19 +574,13 @@ CompiledModel::repinLogical(uint64_t logical)
 InferenceResult
 CompiledModel::run(const dnn::QTensor &input)
 {
+    // A batch of one: runBatch's single pass runs the image inline in
+    // image slot 0 (the conv kernels still fan out over the pool).
+    BatchInferenceResult batch = runBatch({&input, 1});
     InferenceResult res;
-    if (functional()) {
-        unsigned budget = faultCfg.retryBudget;
-        for (;;) {
-            res.output = runLayers(input, 0);
-            if (!canaryOn || canarySweepAndRepair(budget))
-                break;
-            ++nPassRetries; // detected, repaired: recompute
-        }
-    }
-    // Assembled after execution so runtime retirements (degraded
-    // banding, fault counters) price into this very call's report.
-    res.report = report(1);
+    if (!batch.outputs.empty())
+        res.output = std::move(batch.outputs.front());
+    res.report = std::move(batch.report);
     return res;
 }
 

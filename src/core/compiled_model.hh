@@ -150,8 +150,10 @@ class CompiledModel
     /// @}
 
     /**
-     * Execute one inference. Repeated calls are bit-identical and
-     * skip all compile-time work (mapping, layout, filter loading).
+     * Execute one inference: runBatch over a batch of one, so the
+     * fault canary's detect, repair and retry loop is the batch's.
+     * Repeated calls are bit-identical and skip all compile-time
+     * work (mapping, layout, filter loading).
      */
     InferenceResult run(const dnn::QTensor &input);
 
@@ -241,9 +243,6 @@ class CompiledModel
 
     /** @name Fault tolerance (sram/faults.hh, cache/health.hh) */
     /// @{
-    /** The fault campaign the model was compiled under (enabled()
-     * false when none was configured). */
-    const sram::faults::Config &faultConfig() const { return faultCfg; }
     /**
      * Whether the runtime canary check runs after every pass: faults
      * configured with canary on, and a Functional model (a
@@ -270,17 +269,19 @@ class CompiledModel
     CompiledModel();
 
     /**
-     * Run one image through every stage. @p array_offset names the
-     * image slot's replica (§IV-E): runBatch fans N images over the
-     * pool concurrently, and every image in flight owns a complete
-     * replica of the network's array state — stationary filter bands
-     * and scratch arrays alike — at flat-array offset slot *
-     * perImageArrays. The functional kernels add it to every array
-     * index they touch, so concurrent images never share mutable
-     * arrays and outputs are bit-identical to the serial per-image
-     * loop for any thread count. Slot 0 (offset 0) is the bands the
-     * compile pass placed; run() always executes there. A Reference
-     * model touches no arrays and ignores the offset.
+     * Run one image, of the network's input shape (runBatch checks
+     * every image before any runs), through every stage.
+     * @p array_offset names the image slot's replica (§IV-E):
+     * runBatch fans N images over the pool concurrently, and every
+     * image in flight owns a complete replica of the network's array
+     * state — stationary filter bands and scratch arrays alike — at
+     * flat-array offset slot * perImageArrays. The functional kernels
+     * add it to every array index they touch, so concurrent images
+     * never share mutable arrays and outputs are bit-identical to the
+     * serial per-image loop for any thread count. Slot 0 (offset 0)
+     * is the bands the compile pass placed; run(), a batch of one,
+     * executes there. A Reference model touches no arrays and
+     * ignores the offset.
      */
     dnn::QTensor runLayers(const dnn::QTensor &input,
                            uint64_t array_offset);

@@ -35,12 +35,9 @@ PhaseBreakdown::operator+=(const PhaseBreakdown &o)
 }
 
 CostModel::CostModel(cache::Geometry geom_, CostConfig cfg_,
-                     cache::DramModel dram_, cache::IntraSliceBus bus_,
-                     cache::Ring ring_, cache::CBox cbox_)
-    : geom(std::move(geom_)), cfg(cfg_), dramModel(dram_),
-      sliceBus(bus_), ringNet(ring_), cboxModel(cbox_)
+                     cache::DramModel dram_)
+    : geom(std::move(geom_)), cfg(cfg_), dramModel(dram_)
 {
-    ringNet.stops = geom.slices;
 }
 
 double

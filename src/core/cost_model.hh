@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bitserial/cost.hh"
-#include "cache/cbox.hh"
 #include "cache/dram.hh"
 #include "cache/geometry.hh"
 #include "cache/interconnect.hh"
@@ -133,13 +132,18 @@ struct StageCost
     double totalPs() const { return phases.totalPs(); }
 };
 
-/** The cost model over one cache configuration. */
+/**
+ * The cost model over one cache configuration. Filters stream once
+ * per layer over the DRAM channel; every array fill and output drain
+ * is priced on the intra-slice bus. The ring and the CBox transpose
+ * gateway are not charged here (bench/ablation_tmu prices the CBox
+ * on its own).
+ */
 class CostModel
 {
   public:
     CostModel(cache::Geometry geom, CostConfig cfg = {},
-              cache::DramModel dram = {}, cache::IntraSliceBus bus = {},
-              cache::Ring ring = {}, cache::CBox cbox = {});
+              cache::DramModel dram = {});
 
     const cache::Geometry &geometry() const { return geom; }
     const CostConfig &config() const { return cfg; }
@@ -191,8 +195,6 @@ class CostModel
     CostConfig cfg;
     cache::DramModel dramModel;
     cache::IntraSliceBus sliceBus;
-    cache::Ring ringNet;
-    cache::CBox cboxModel;
 };
 
 } // namespace nc::core

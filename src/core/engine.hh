@@ -66,7 +66,6 @@ class Engine
     explicit Engine(Options opts_ = {});
 
     const Options &options() const { return opts; }
-    common::ThreadPool &threadPool() { return *pool; }
 
     /**
      * Compile @p net for options().backend, the one backend every

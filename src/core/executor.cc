@@ -36,7 +36,7 @@ constexpr size_t kMaxGroupArrays = 64;
 
 /**
  * The calling thread's group array of @p members arrays of @p rows x
- * @p cols, task-private and untagged like maxPool's window arrays.
+ * @p cols, task-private and untagged.
  * It persists across passes and layers: a pass's near-even split
  * hands one worker groups of two adjacent sizes, so the two most
  * recent shapes stay cached. Every member's rows and latches are
@@ -110,20 +110,24 @@ gather(std::span<uint64_t> vals, const dnn::QTensor &in,
 }
 
 /**
- * What maxPool and avgPool share: channel passes of at most one
+ * The one pool loop, shared by maxPool and avgPool: every window runs
+ * in order on the scratch array the caller names, as requantization
+ * and the eltwise merge do. Channels split into passes of at most one
  * array's bit lines (one lane per channel, extra channels run as
- * serial passes over the same slice map), the output dims, and the
- * r x s window as one unit-stride run per element.
+ * serial passes over the same slice map), and the r x s window is one
+ * unit-stride run per element. The walk holds the kernel's debug
+ * claim on its scratch array for its whole lifetime.
  */
 struct PoolWalk
 {
-    PoolWalk(const dnn::QTensor &in_, unsigned r, unsigned s,
-             unsigned stride_, bool same_pad, unsigned cols)
-        : in(in_), stride(stride_),
-          cchunk(std::min(in_.channels(), cols)),
+    PoolWalk(cache::ComputeCache &cc, uint64_t scratch,
+             const char *label, const dnn::QTensor &in_, unsigned r,
+             unsigned s, unsigned stride_, bool same_pad)
+        : own(cc.ownershipRegistry(),
+              sram::ownership::Range{scratch, 1}, 0, label),
+          arr(cc.array(scratch)), in(in_), stride(stride_),
+          cchunk(std::min(in_.channels(), cc.geometry().arrayCols)),
           lanes(static_cast<unsigned>(roundUpPow2(cchunk))),
-          cpasses(static_cast<unsigned>(
-              divCeil(in_.channels(), cchunk))),
           oh(dnn::outDim(in_.height(), r, stride_, same_pad)),
           ow(dnn::outDim(in_.width(), s, stride_, same_pad)),
           ph(static_cast<int>(
@@ -131,32 +135,57 @@ struct PoolWalk
           pw(static_cast<int>(
               padBefore(in_.width(), s, stride_, same_pad)))
     {
-        nc_assert(lanes <= cols, "pool: %u lanes exceed %u bit lines "
-                  "(non-power-of-two array width)", lanes, cols);
+        nc_assert(lanes <= arr.cols(), "pool: %u lanes exceed %u bit "
+                  "lines (non-power-of-two array width)", lanes,
+                  arr.cols());
         for (unsigned dy = 0; dy < r; ++dy)
             for (unsigned dx = 0; dx < s; ++dx)
                 elems.push_back({dy, dx, 0, 1, 0, 1, cchunk});
     }
 
     /**
-     * Stage each in-bounds element of output (y, x)'s window, channels
-     * [c0, c0 + cchunk), into @p iv in row-major order and call @p f
-     * after each; padding elements are skipped, not staged as zeros.
+     * Run every (channel pass, output row, output column) window.
+     * @p body(each) computes one window and returns the slice holding
+     * its result; each(f) stages the window's in-bounds elements into
+     * @p cur in row-major order and calls f after each (padding
+     * elements are skipped, not staged as zeros). The result slice's
+     * lanes are read out into the pooled tensor.
      */
-    template <class F>
-    void
-    window(std::span<uint64_t> iv, unsigned y, unsigned x, unsigned c0,
-           F &&f) const
+    template <class Body>
+    dnn::QTensor
+    run(const bs::VecSlice &cur, Body &&body) const
     {
-        const unsigned n = std::min(in.channels(), c0 + cchunk) - c0;
-        for (const mapping::LaneRun &e : elems)
-            if (gather(iv, in, {&e, 1}, static_cast<int>(y * stride) - ph,
-                       static_cast<int>(x * stride) - pw, c0, n))
-                f();
+        common::ArenaScope scratch;
+        std::span<uint64_t> iv = scratch.alloc(lanes);
+        dnn::QTensor out(in.channels(), oh, ow, in.params());
+        for (unsigned c0 = 0; c0 < in.channels(); c0 += cchunk) {
+            const unsigned n = std::min(in.channels(), c0 + cchunk) - c0;
+            for (unsigned y = 0; y < oh; ++y) {
+                for (unsigned x = 0; x < ow; ++x) {
+                    const int y0 = static_cast<int>(y * stride) - ph;
+                    const int x0 = static_cast<int>(x * stride) - pw;
+                    auto each = [&](auto &&f) {
+                        for (const mapping::LaneRun &e : elems) {
+                            if (gather(iv, in, {&e, 1}, y0, x0, c0, n)) {
+                                bs::storeVector(arr, cur, iv);
+                                f();
+                            }
+                        }
+                    };
+                    const bs::VecSlice res = body(each);
+                    for (unsigned i = 0; i < n; ++i)
+                        out.at(c0 + i, y, x) = static_cast<uint8_t>(
+                            bs::loadLane(arr, res, i));
+                }
+            }
+        }
+        return out;
     }
 
+    [[maybe_unused]] sram::ownership::ClaimScope own;
+    sram::Array &arr;
     const dnn::QTensor &in;
-    unsigned stride, cchunk, lanes, cpasses, oh, ow;
+    unsigned stride, cchunk, lanes, oh, ow;
     int ph, pw;
     std::vector<mapping::LaneRun> elems;
 };
@@ -500,72 +529,25 @@ Executor::maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
                   unsigned stride, bool same_pad,
                   uint64_t scratch_array)
 {
-    unsigned cols = cc.geometry().arrayCols;
-    unsigned arows = cc.geometry().arrayRows;
-    const PoolWalk walk(in, r, s, stride, same_pad, cols);
-    const unsigned cpasses = walk.cpasses, ow = walk.ow;
-
-    // The modeled machine runs every window on one array; the
-    // simulator partitions the independent (window, channel-pass)
-    // units into contiguous chunks, runs each chunk on a task-private
-    // array with the identical slice map, and reduces the
-    // (data-independent, hence partition-independent) cycle counts
-    // into the modeled array after the join.
-    // Race detector (debug): the kernel owns the modeled scratch
-    // array (window tasks run on task-private arrays and only their
-    // cycle counts merge back here after the join).
-    [[maybe_unused]] sram::ownership::ClaimScope own(
-        cc.ownershipRegistry(),
-        sram::ownership::Range{scratch_array, 1}, 0,
-        "maxPool kernel");
-    sram::Array &model = cc.array(scratch_array);
-    size_t windows = static_cast<size_t>(walk.oh) * ow * cpasses;
-    size_t chunks = std::min<size_t>(pool.size(), windows);
-    std::vector<std::pair<uint64_t, uint64_t>> charged(
-        chunks > 0 ? chunks : 1, {0, 0});
-
-    // The shared carve-up and the full-window fold program the
-    // program verifier proves: a window's j-th valid element runs
-    // instruction j (the first seeds the running max, the rest fold
-    // into it), so a window with v valid elements runs the program's
-    // v-instruction prefix.
+    // The full-window fold program the program verifier proves: a
+    // window's j-th valid element runs instruction j (the first seeds
+    // the running max, the rest fold into it), so a window with v
+    // valid elements runs the program's v-instruction prefix.
     const mapping::PoolRowLayout prows =
         mapping::makePoolRowLayout(cc.geometry());
     const std::vector<Instruction> fold =
         verify::maxPoolWindowProgram(prows, r * s);
 
-    dnn::QTensor out(in.channels(), walk.oh, ow, in.params());
-    pool.parallelFor(chunks, [&](size_t chunk) {
-        sram::Array arr(arows, cols);
-        arr.setReferenceMode(model.referenceMode());
-
-        size_t lo = windows * chunk / chunks;
-        size_t hi = windows * (chunk + 1) / chunks;
-        common::ArenaScope task_scratch;
-        std::span<uint64_t> iv = task_scratch.alloc(walk.lanes);
-        for (size_t wi = lo; wi < hi; ++wi) {
-            unsigned y = static_cast<unsigned>(wi / cpasses / ow);
-            unsigned x = static_cast<unsigned>(wi / cpasses % ow);
-            unsigned c0 = static_cast<unsigned>(wi % cpasses) *
-                          walk.cchunk;
-            unsigned c1 = std::min(in.channels(), c0 + walk.cchunk);
-            size_t j = 0;
-            walk.window(iv, y, x, c0, [&] {
-                bs::storeVector(arr, prows.cur, iv);
-                runProgram(arr, fold, j, j + 1);
-                ++j;
-            });
-            for (unsigned ci = c0; ci < c1; ++ci) {
-                out.at(ci, y, x) = static_cast<uint8_t>(
-                    bs::loadLane(arr, prows.best, ci - c0));
-            }
-        }
-        charged[chunk] = {arr.computeCycles(), arr.accessCycles()};
+    const PoolWalk walk(cc, scratch_array, "maxPool kernel", in, r, s,
+                        stride, same_pad);
+    return walk.run(prows.cur, [&](auto &&each) {
+        size_t j = 0;
+        each([&] {
+            runProgram(walk.arr, fold, j, j + 1);
+            ++j;
+        });
+        return prows.best;
     });
-
-    for (const auto &[compute, access] : charged)
-        model.chargeCycles(compute, access);
-    return out;
 }
 
 dnn::QTensor
@@ -577,11 +559,11 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
     const unsigned acc_bits = 2 * bits;
     unsigned ws = r * s;
     nc_assert(ws <= 256, "window too large");
-    const PoolWalk walk(in, r, s, stride, same_pad,
-                        cc.geometry().arrayCols);
+    const PoolWalk walk(cc, scratch_array, "avgPool kernel", in, r, s,
+                        stride, same_pad);
     const unsigned lanes = walk.lanes;
 
-    sram::Array &arr = cc.array(scratch_array);
+    sram::Array &arr = walk.arr;
     bs::RowAllocator rows(cc.geometry().arrayRows);
     bs::VecSlice cur = rows.alloc(bits);
     bs::VecSlice acc = rows.alloc(acc_bits);
@@ -607,45 +589,28 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
         }
     }
 
-    common::ArenaScope scratch;
-    std::span<uint64_t> iv = scratch.alloc(lanes);
-    dnn::QTensor out(in.channels(), walk.oh, walk.ow, in.params());
-    for (unsigned cp = 0; cp < walk.cpasses; ++cp) {
-        unsigned c0 = cp * walk.cchunk;
-        unsigned c1 = std::min(in.channels(), c0 + walk.cchunk);
-        for (unsigned y = 0; y < walk.oh; ++y) {
-            for (unsigned x = 0; x < walk.ow; ++x) {
-                unsigned count = 0;
-                bs::zero(arr, acc);
-                walk.window(iv, y, x, c0, [&] {
-                    bs::storeVector(arr, cur, iv);
-                    bs::add(arr, acc, cur, acc, zrow);
-                    ++count;
-                });
-                // TF SAME averages exclude padding: divide by the
-                // valid count — a shift when it is a power of two,
-                // the restoring divider otherwise (divisor streamed
-                // when it differs from what the band holds).
-                const bs::VecSlice *result = &acc;
-                if (isPow2(count)) {
-                    bs::shiftDown(arr, acc, log2Ceil(count));
-                } else {
-                    if (count != den_cur) {
-                        bs::storeSplat(arr, den, count, lanes);
-                        den_cur = count;
-                    }
-                    bs::divide(arr, acc, den, quot, rwork, twork,
-                               dwork);
-                    result = &quot;
-                }
-                for (unsigned ci = c0; ci < c1; ++ci) {
-                    out.at(ci, y, x) = static_cast<uint8_t>(
-                        bs::loadLane(arr, *result, ci - c0));
-                }
-            }
+    return walk.run(cur, [&](auto &&each) {
+        unsigned count = 0;
+        bs::zero(arr, acc);
+        each([&] {
+            bs::add(arr, acc, cur, acc, zrow);
+            ++count;
+        });
+        // TF SAME averages exclude padding: divide by the valid
+        // count — a shift when it is a power of two, the restoring
+        // divider otherwise (divisor streamed when it differs from
+        // what the band holds).
+        if (isPow2(count)) {
+            bs::shiftDown(arr, acc, log2Ceil(count));
+            return acc;
         }
-    }
-    return out;
+        if (count != den_cur) {
+            bs::storeSplat(arr, den, count, lanes);
+            den_cur = count;
+        }
+        bs::divide(arr, acc, den, quot, rwork, twork, dwork);
+        return quot;
+    });
 }
 
 std::vector<uint8_t>

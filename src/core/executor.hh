@@ -18,9 +18,12 @@
  * per-bank FSM (controller.hh) — the stream the compile-time
  * verifier proves is the stream that executes. Requantization and
  * average pooling have no canonical program and issue ALU calls
- * directly.
+ * directly. The pools, requantization and the eltwise merge run
+ * serially on the scratch array their caller names; the two pools
+ * share one walk over (channel pass, output row, output column),
+ * each passing only its per-window body.
  *
- * Parallelism: the independent units of a layer fan out over a
+ * Parallelism: conv filter pinning and conv passes fan out over a
  * common::ThreadPool. A conv pass runs its (filter batch, channel
  * chunk) arrays in lockstep groups, the way a slice broadcasts one
  * instruction to all its arrays (§IV-F): each task copies a
@@ -33,14 +36,12 @@
  * task (a branch or image fan-out), where the inner loop runs
  * inline. A group holding a faulted or reference-mode array runs
  * as groups of one, each on its own array with no copies: the same
- * window loop, the per-array touch sequence. maxPool fans out chunks of
- * output windows. Each task owns its arrays and writes a disjoint
- * slice of the output, so outputs and every array's rows, latches
- * and cycle counters are bit-identical for any thread count, and
- * cycle statistics reduce after the join as order-independent sums —
- * the modeled machine is unchanged, only the simulator wall clock
- * shrinks. Thread count: constructor argument, else NC_THREADS, else
- * hardware concurrency.
+ * window loop, the per-array touch sequence. Each task owns its
+ * arrays and writes a disjoint slice of the output, so outputs and
+ * every array's rows, latches and cycle counters are bit-identical
+ * for any thread count — the modeled machine is unchanged, only the
+ * simulator wall clock shrinks. Thread count: constructor argument,
+ * else NC_THREADS, else hardware concurrency.
  *
  * Scope: shapes inside the one-array-per-filter-batch envelope run
  * the original untransformed mapping (bit- and cycle-identical to the
@@ -277,8 +278,9 @@ class Executor
      * Max pooling through bit-serial compare/select: each window runs
      * a prefix of the full-window fold program, one instruction per
      * valid element (SAME-padded edge windows run shorter prefixes).
-     * The cycles are charged to @p scratch_array (parallel branches
-     * give each branch its own so their charges stay disjoint).
+     * Every window runs in order on @p scratch_array (parallel
+     * branches give each branch its own, so their arrays and cycle
+     * charges stay disjoint).
      */
     dnn::QTensor maxPool(const dnn::QTensor &in, unsigned r, unsigned s,
                          unsigned stride, bool same_pad,

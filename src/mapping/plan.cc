@@ -145,9 +145,9 @@ maxLanesFor(const cache::Geometry &geom, unsigned mac_slots,
 } // namespace
 
 FunctionalConvPlan
-planFunctionalConv(const dnn::ConvOp &op, const cache::Geometry &geom,
-                   const TransformLimits &lim)
+planFunctionalConv(const dnn::ConvOp &op, const cache::Geometry &geom)
 {
+    const TransformLimits lim;
     unsigned rs = op.r * op.s;
 
     FunctionalConvPlan p;

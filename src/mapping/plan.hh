@@ -127,10 +127,10 @@ struct FunctionalConvPlan
     }
 };
 
-/** Plan @p op's functional-array mapping on @p geom. */
+/** Plan @p op's functional-array mapping on @p geom, under the
+ * default TransformLimits. */
 FunctionalConvPlan planFunctionalConv(const dnn::ConvOp &op,
-                                      const cache::Geometry &geom,
-                                      const TransformLimits &lim = {});
+                                      const cache::Geometry &geom);
 
 /**
  * The Figure-10 per-array row carve-up of one conv layer: filter

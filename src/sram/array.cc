@@ -206,48 +206,6 @@ Array::writeBack(unsigned dst, const BitRow &value, bool pred)
 }
 
 void
-Array::fused2(unsigned ra, unsigned rb, unsigned dst, bool pred,
-              kern::Logic2 op)
-{
-    // Hot shape: everything that cannot happen on a resolved,
-    // unfaulted array (first-op dispatch, fault re-application, the
-    // same-row programming error) funnels through one predicted-
-    // not-taken branch into the out-of-line slow body, and the
-    // kernel is reached by a frameless sibling call — the per-op
-    // wrapper cost is otherwise comparable to the pass itself on
-    // the default 4-word geometry.
-    const kern::Table *t = kern::g_active.load(std::memory_order_acquire);
-    if (!t || flt || ra == rb) [[unlikely]]
-        return fused2Slow(ra, rb, dst, pred, op);
-    nc_dassert(ra < nrows && rb < nrows && dst < nrows,
-               "row out of %u", nrows);
-    checkOwner();
-    if (pred)
-        t->logic2Pred(op, cells[ra].wordData(), cells[rb].wordData(),
-                      cells[dst].wordData(), tagLatch.wordData(),
-                      nwords, tmask);
-    else
-        t->logic2(op, cells[ra].wordData(), cells[rb].wordData(),
-                  cells[dst].wordData(), nwords, tmask);
-}
-
-[[gnu::noinline]] void
-Array::fused2Slow(unsigned ra, unsigned rb, unsigned dst, bool pred,
-                  kern::Logic2 op)
-{
-    touchRows(ra, rb, dst);
-    nc_assert(ra != rb, "dual activation of the same word line %u", ra);
-    const kern::Table &t = kern::active();
-    if (pred)
-        t.logic2Pred(op, cells[ra].wordData(), cells[rb].wordData(),
-                     cells[dst].wordData(), tagLatch.wordData(),
-                     nwords, tmask);
-    else
-        t.logic2(op, cells[ra].wordData(), cells[rb].wordData(),
-                 cells[dst].wordData(), nwords, tmask);
-}
-
-void
 Array::fused1(unsigned src, unsigned dst, bool pred, bool invert)
 {
     const kern::Table *t = kern::g_active.load(std::memory_order_acquire);
@@ -317,30 +275,6 @@ Array::loadLatch(BitRow &dst, const BitRow &src, bool invert)
 }
 
 [[gnu::noinline]] void
-Array::refFused2(unsigned ra, unsigned rb, unsigned dst, bool pred,
-                 kern::Logic2 op)
-{
-    Sensed s = sense(ra, rb);
-    switch (op) {
-    case kern::Logic2::And:
-        writeBack(dst, s.bl, pred);
-        break;
-    case kern::Logic2::Nor:
-        writeBack(dst, s.blb, pred);
-        break;
-    case kern::Logic2::Or:
-        writeBack(dst, ~s.blb, pred);
-        break;
-    case kern::Logic2::Xor:
-        writeBack(dst, ~(s.bl | s.blb), pred);
-        break;
-    case kern::Logic2::Xnor:
-        writeBack(dst, s.bl | s.blb, pred);
-        break;
-    }
-}
-
-[[gnu::noinline]] void
 Array::refAdd(unsigned ra, unsigned rb, unsigned dst, bool pred)
 {
     Sensed s = sense(ra, rb);
@@ -362,51 +296,6 @@ Array::refCopy(unsigned src, unsigned dst, bool pred, bool invert)
 }
 
 void
-Array::opAnd(unsigned ra, unsigned rb, unsigned dst, bool pred)
-{
-    ++nComputeCycles;
-    if (refMode) [[unlikely]]
-        return refFused2(ra, rb, dst, pred, kern::Logic2::And);
-    fused2(ra, rb, dst, pred, kern::Logic2::And);
-}
-
-void
-Array::opNor(unsigned ra, unsigned rb, unsigned dst, bool pred)
-{
-    ++nComputeCycles;
-    if (refMode) [[unlikely]]
-        return refFused2(ra, rb, dst, pred, kern::Logic2::Nor);
-    fused2(ra, rb, dst, pred, kern::Logic2::Nor);
-}
-
-void
-Array::opOr(unsigned ra, unsigned rb, unsigned dst, bool pred)
-{
-    ++nComputeCycles;
-    if (refMode) [[unlikely]]
-        return refFused2(ra, rb, dst, pred, kern::Logic2::Or);
-    fused2(ra, rb, dst, pred, kern::Logic2::Or);
-}
-
-void
-Array::opXor(unsigned ra, unsigned rb, unsigned dst, bool pred)
-{
-    ++nComputeCycles;
-    if (refMode) [[unlikely]]
-        return refFused2(ra, rb, dst, pred, kern::Logic2::Xor);
-    fused2(ra, rb, dst, pred, kern::Logic2::Xor);
-}
-
-void
-Array::opXnor(unsigned ra, unsigned rb, unsigned dst, bool pred)
-{
-    ++nComputeCycles;
-    if (refMode) [[unlikely]]
-        return refFused2(ra, rb, dst, pred, kern::Logic2::Xnor);
-    fused2(ra, rb, dst, pred, kern::Logic2::Xnor);
-}
-
-void
 Array::opAdd(unsigned ra, unsigned rb, unsigned dst, bool pred)
 {
     ++nComputeCycles;
@@ -414,7 +303,13 @@ Array::opAdd(unsigned ra, unsigned rb, unsigned dst, bool pred)
     // unconditionally, exactly like the hardware's full-adder cycle.
     // Operand chunks are read before the destination chunk is
     // written, so dst may alias ra or rb (in-place accumulation).
-    // Hot shape mirrors fused2: one cold branch, sibling call.
+    // Hot shape: everything that cannot happen on a resolved,
+    // unfaulted fast-mode array (reference mode, first-op dispatch,
+    // fault re-application, the same-row programming error) funnels
+    // through one predicted-not-taken branch into the out-of-line
+    // slow body, and the kernel is reached by a frameless sibling
+    // call — the per-op wrapper cost is otherwise comparable to the
+    // pass itself on the default 4-word geometry.
     const kern::Table *t = kern::g_active.load(std::memory_order_acquire);
     if (refMode || !t || flt || ra == rb) [[unlikely]]
         return opAddSlow(ra, rb, dst, pred);
@@ -495,18 +390,6 @@ Array::opLoadTag(unsigned r)
     checkRow(r);
     ++nComputeCycles;
     tagLatch = cells[r];
-}
-
-void
-Array::opLoadTagInv(unsigned r)
-{
-    checkRow(r);
-    ++nComputeCycles;
-    if (refMode) {
-        tagLatch = ~cells[r];
-        return;
-    }
-    loadLatch(tagLatch, cells[r], /*invert=*/true);
 }
 
 void

@@ -69,7 +69,6 @@ class Registry;
 
 namespace kern
 {
-enum class Logic2;
 enum class TagFold;
 }
 
@@ -134,20 +133,11 @@ class Array
 
     /** @name Compute micro-ops (1 compute cycle each) */
     /// @{
-    /** dst <= A AND B (BL sense). */
-    void opAnd(unsigned ra, unsigned rb, unsigned dst, bool pred = false);
-    /** dst <= A NOR B (BLB sense). */
-    void opNor(unsigned ra, unsigned rb, unsigned dst, bool pred = false);
-    /** dst <= A OR B (inverted BLB). */
-    void opOr(unsigned ra, unsigned rb, unsigned dst, bool pred = false);
-    /** dst <= A XOR B (NOR of the two sensed values). */
-    void opXor(unsigned ra, unsigned rb, unsigned dst, bool pred = false);
-    /** dst <= A XNOR B. */
-    void opXnor(unsigned ra, unsigned rb, unsigned dst, bool pred = false);
-
     /**
      * Full-adder cycle: dst <= A ^ B ^ carry; carry latch <= majority.
-     * This is the workhorse of bit-serial arithmetic (paper Figure 4).
+     * This is the workhorse of bit-serial arithmetic (paper Figure 4),
+     * built from the dual-row sense: BL gives A AND B, BLB gives
+     * A NOR B, and their NOR is A XOR B.
      */
     void opAdd(unsigned ra, unsigned rb, unsigned dst, bool pred = false);
 
@@ -160,9 +150,8 @@ class Array
     /** dst <= 1 in selected lanes. */
     void opOnes(unsigned dst, bool pred = false);
 
-    /** Tag latch <= row / NOT row / tag AND row / tag AND NOT row. */
+    /** Tag latch <= row / tag AND row / tag AND NOT row. */
     void opLoadTag(unsigned r);
-    void opLoadTagInv(unsigned r);
     void opTagAnd(unsigned r);
     void opTagAndInv(unsigned r);
     /** Tag latch <= tag OR row (overflow detection folds). */
@@ -249,11 +238,10 @@ class Array
     uint64_t accessCycles() const { return nAccessCycles; }
     void resetCycles();
     /**
-     * Merge cycle counts measured elsewhere into this array's
-     * counters. The parallel executor runs independent work items on
-     * task-private arrays and reduces their counts into the modeled
-     * array after the join, so aggregate cycle/energy statistics are
-     * identical to a serial run (sums are order-independent).
+     * Add cycle counts measured elsewhere to this array's counters.
+     * The lockstep conv kernel runs a pass's arrays as members of one
+     * task-private group array and charges each member array the
+     * group's cycle delta — exactly what it would have counted alone.
      */
     void chargeCycles(uint64_t compute, uint64_t access);
     /// @}
@@ -273,8 +261,8 @@ class Array
      * state access verifies the calling task owns flat array
      * @p flat_index in @p reg (see sram/ownership.hh). ComputeCache
      * tags its arrays at materialization in debug builds; standalone
-     * arrays (unit tests, task-private pooling scratch) stay
-     * untagged and unchecked. No-op under NDEBUG.
+     * arrays (unit tests, the conv kernel's task-private group and
+     * staging arrays) stay untagged and unchecked. No-op under NDEBUG.
      */
     void setOwnership(ownership::Registry *reg, uint64_t flat_index);
 
@@ -310,22 +298,15 @@ class Array
      * on the default 4-word geometry.
      */
     /// @{
-    void refFused2(unsigned ra, unsigned rb, unsigned dst, bool pred,
-                   kern::Logic2 op);
     void refAdd(unsigned ra, unsigned rb, unsigned dst, bool pred);
     void refCopy(unsigned src, unsigned dst, bool pred, bool invert);
     /// @}
 
     /**
-     * Fused sense + logic + predicated write-back: one pass over the
-     * operand words through the active SIMD kernel table
-     * (sram/kernels.hh). @p op selects how the two sensed rows
-     * combine into the value to commit.
+     * Fused single-row sense + predicated write-back (optionally
+     * inverting the sense): one pass over the operand words through
+     * the active SIMD kernel table (sram/kernels.hh).
      */
-    void fused2(unsigned ra, unsigned rb, unsigned dst, bool pred,
-                kern::Logic2 op);
-
-    /** Single-source variant (optionally inverting the sense). */
     void fused1(unsigned src, unsigned dst, bool pred, bool invert);
 
     /** @name Cold bodies of the fused ops
@@ -335,8 +316,6 @@ class Array
      * hot bodies frameless so the kernel is a sibling call.
      */
     /// @{
-    void fused2Slow(unsigned ra, unsigned rb, unsigned dst, bool pred,
-                    kern::Logic2 op);
     void fused1Slow(unsigned src, unsigned dst, bool pred,
                     bool invert);
     void opAddSlow(unsigned ra, unsigned rb, unsigned dst, bool pred);

@@ -3,11 +3,13 @@
  * Width-templated compute kernels behind sram::Array, with runtime
  * SIMD dispatch.
  *
- * Every fused micro-op pass (sense + logic + predicated write-back
- * over a row's 64-bit words) and the word-parallel data-movement
- * passes of bitserial::storeVector/loadVector exist in up to three
- * instantiations of one templated inner kernel: portable uint64_t
- * (64 lanes per step), AVX2 (256 lanes), and AVX-512 (512 lanes).
+ * Every micro-op pass sram::Array issues (the full adder, row and
+ * latch copies, constant writes and tag folds: each a sense plus a
+ * predicated write-back over a row's 64-bit words) and the
+ * word-parallel data-movement passes of bitserial::storeVector and
+ * loadVector exist in up to three instantiations of one templated
+ * inner kernel: portable uint64_t (64 lanes per step), AVX2 (256
+ * lanes), and AVX-512 (512 lanes).
  * Carry and predicate lanes stay in-register across a pass at every
  * width; wider tiers fall through to the next-narrower kernel for
  * the remainder words of rows that are not a multiple of their step.
@@ -52,16 +54,6 @@
 
 namespace nc::sram::kern
 {
-
-/** Two-operand logic family (the BL/BLB sense combinations). */
-enum class Logic2
-{
-    And,
-    Nor,
-    Or,
-    Xor,
-    Xnor,
-};
 
 /** Tag-latch folds against one sensed row. */
 enum class TagFold
@@ -115,12 +107,6 @@ struct Table
 {
     common::simd::Tier tier;
 
-    /** d <= op(a, b), tail-masked. */
-    void (*logic2)(Logic2 op, const uint64_t *a, const uint64_t *b,
-                   uint64_t *d, size_t nw, uint64_t tm);
-    void (*logic2Pred)(Logic2 op, const uint64_t *a,
-                       const uint64_t *b, uint64_t *d,
-                       const uint64_t *t, size_t nw, uint64_t tm);
     /**
      * Full-adder pass: d <= a^b^c, c <= majority (in the predicated
      * form the carry still updates unconditionally). d may alias a

@@ -340,55 +340,6 @@ struct Avx512B
 
 #endif // __AVX512F__ && __AVX512BW__
 
-/** @name Logic ops for the two-operand family */
-/// @{
-struct OpAnd
-{
-    template <class B>
-    static typename B::V
-    apply(typename B::V a, typename B::V b)
-    {
-        return B::and_(a, b);
-    }
-};
-struct OpNor
-{
-    template <class B>
-    static typename B::V
-    apply(typename B::V a, typename B::V b)
-    {
-        return B::andnot(a, B::not_(b)); // ~a & ~b
-    }
-};
-struct OpOr
-{
-    template <class B>
-    static typename B::V
-    apply(typename B::V a, typename B::V b)
-    {
-        return B::or_(a, b);
-    }
-};
-struct OpXor
-{
-    template <class B>
-    static typename B::V
-    apply(typename B::V a, typename B::V b)
-    {
-        return B::xor_(a, b);
-    }
-};
-struct OpXnor
-{
-    template <class B>
-    static typename B::V
-    apply(typename B::V a, typename B::V b)
-    {
-        return B::not_(B::xor_(a, b));
-    }
-};
-/// @}
-
 /**
  * Predicated commit of @p v into the destination chunk: lanes where
  * the tag holds 1 take v, others keep d.
@@ -405,27 +356,6 @@ inline bool
 maskedTail(uint64_t tm)
 {
     return tm != ~uint64_t(0);
-}
-
-template <class B, class OP, bool PRED>
-void
-logic2Pass(const uint64_t *a, const uint64_t *b, uint64_t *d,
-           const uint64_t *t, size_t nw, uint64_t tm)
-{
-    size_t i = 0;
-    for (; i + B::W <= nw; i += B::W) {
-        auto v = OP::template apply<B>(B::load(a + i), B::load(b + i));
-        if (maskedTail(tm) && i + B::W == nw)
-            v = B::and_(v, B::lastMask(tm));
-        if constexpr (PRED)
-            v = predMerge<B>(v, B::load(t + i), B::load(d + i));
-        B::store(d + i, v);
-    }
-    if constexpr (!std::is_same_v<typename B::Narrower, void>) {
-        if (i < nw)
-            logic2Pass<typename B::Narrower, OP, PRED>(
-                a + i, b + i, d + i, t + i, nw - i, tm);
-    }
 }
 
 template <class B, bool PRED>
@@ -926,63 +856,6 @@ reducePass(const ReduceRows &x, size_t i, size_t nw)
  * up in perf_report.
  */
 /// @{
-template <class B, class OP, bool PRED>
-inline void
-logic2Op(const uint64_t *a, const uint64_t *b, uint64_t *d,
-         const uint64_t *t, size_t nw, uint64_t tm)
-{
-    logic2Pass<B, OP, PRED>(a, b, d, t, nw, tm);
-}
-
-template <class B, bool PRED>
-inline void
-logic2Switch(Logic2 op, const uint64_t *a, const uint64_t *b,
-             uint64_t *d, const uint64_t *t, size_t nw, uint64_t tm)
-{
-    switch (op) {
-    case Logic2::And:
-        logic2Op<B, OpAnd, PRED>(a, b, d, t, nw, tm);
-        break;
-    case Logic2::Nor:
-        logic2Op<B, OpNor, PRED>(a, b, d, t, nw, tm);
-        break;
-    case Logic2::Or:
-        logic2Op<B, OpOr, PRED>(a, b, d, t, nw, tm);
-        break;
-    case Logic2::Xor:
-        logic2Op<B, OpXor, PRED>(a, b, d, t, nw, tm);
-        break;
-    case Logic2::Xnor:
-        logic2Op<B, OpXnor, PRED>(a, b, d, t, nw, tm);
-        break;
-    }
-}
-
-template <class B>
-void
-logic2W(Logic2 op, const uint64_t *a, const uint64_t *b, uint64_t *d,
-        size_t nw, uint64_t tm)
-{
-    if constexpr (!std::is_same_v<typename B::Narrower, void>) {
-        if (nw < B::W)
-            return logic2W<typename B::Narrower>(op, a, b, d, nw, tm);
-    }
-    logic2Switch<B, false>(op, a, b, d, nullptr, nw, tm);
-}
-
-template <class B>
-void
-logic2PredW(Logic2 op, const uint64_t *a, const uint64_t *b,
-            uint64_t *d, const uint64_t *t, size_t nw, uint64_t tm)
-{
-    if constexpr (!std::is_same_v<typename B::Narrower, void>) {
-        if (nw < B::W)
-            return logic2PredW<typename B::Narrower>(op, a, b, d, t,
-                                                     nw, tm);
-    }
-    logic2Switch<B, true>(op, a, b, d, t, nw, tm);
-}
-
 /**
  * Exactly one chunk of width B: the opAdd hot path. The carry row is
  * a loop-carried dependency across consecutive adds (stored here,
@@ -1196,8 +1069,6 @@ makeTable(common::simd::Tier tier)
 {
     Table t{};
     t.tier = tier;
-    t.logic2 = &logic2W<B>;
-    t.logic2Pred = &logic2PredW<B>;
     t.add = &addW<B>;
     t.addPred = &addPredW<B>;
     t.copy = &copyW<B>;

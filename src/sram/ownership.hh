@@ -5,8 +5,8 @@
  * The thread-pool determinism contract says concurrent tasks must
  * touch disjoint sram::Array state. The parity tests check that
  * empirically (bit-identical outputs across thread counts); this
- * detector checks it directly: every parallelFor task claims the
- * flat-array ranges its prepared kernel is about to touch, a Registry
+ * detector checks it directly: every kernel task claims the
+ * flat-array ranges it is about to touch, a Registry
  * keeps one owner word per array of the compute cache, and any
  * read-modify access to an array owned by a different task — or to an
  * unclaimed array while the task holds claims — aborts immediately
@@ -17,18 +17,19 @@
  * Task identity is common::currentTaskId() (a fresh id per pool task)
  * for pool tasks, and a lazily assigned per-thread id otherwise, so
  * plain std::thread concurrency is policed too. Claims live at the
- * LEAF kernels (conv filter store / conv window / maxPool / eltwise /
- * ISA broadcast tasks) — the innermost loop level that actually
- * touches array state. Coarser levels (branch or image fan-outs) must
- * NOT claim: when such an outer loop collapses to inline execution,
- * the kernels below it still dispatch real pool tasks, and an outer
- * claim held by the caller would falsely conflict with those tasks'
- * own claims. Plan-level disjointness of branches and image replicas
- * is proven statically by mapping::auditPlan instead. Claims are
- * scoped (ClaimScope) and reentrant: a nested parallelFor runs inline
- * under the outer task's id, so re-claiming an already-owned array
- * just bumps a depth count. Sibling tasks claiming overlapping ranges
- * abort at claim time — before any data is corrupted.
+ * LEAF kernels (conv filter store and conv window tasks, the max and
+ * average pools, the eltwise merge) — the innermost level that
+ * actually touches array state. Coarser levels (branch or image
+ * fan-outs) must NOT claim: when such an outer loop collapses to
+ * inline execution, the kernels below it still dispatch real pool
+ * tasks, and an outer claim held by the caller would falsely
+ * conflict with those tasks' own claims. Plan-level disjointness of
+ * branches and image replicas is proven statically by
+ * mapping::auditPlan instead. Claims are scoped (ClaimScope) and
+ * reentrant: a nested parallelFor runs inline under the outer task's
+ * id, so re-claiming an already-owned array just bumps a depth count.
+ * Sibling tasks claiming overlapping ranges abort at claim time —
+ * before any data is corrupted.
  *
  * The whole mechanism is compiled out under NDEBUG (kEnabled == false,
  * ComputeCache creates no Registry, Array::setOwnership() leaves the

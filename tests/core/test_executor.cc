@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bitserial/cost.hh"
+#include "bitserial/layout.hh"
 #include "common/rng.hh"
 #include "core/executor.hh"
 #include "core/program_verify.hh"
@@ -150,6 +151,67 @@ TEST(Executor, MaxPoolMatchesReference)
         for (unsigned y = 0; y < got.height(); ++y)
             for (unsigned x = 0; x < got.width(); ++x)
                 EXPECT_EQ(got.at(c, y, x), want.at(c, y, x));
+}
+
+TEST(Executor, MaxPoolRunsOnItsScratchArray)
+{
+    // Every window runs in order on the scratch array the call names:
+    // its running-max rows end holding the maxima of the last window
+    // walked, it carries every cycle, and no other array
+    // materializes.
+    Rng rng(22);
+    cache::ComputeCache cc;
+    Executor ex(cc, 4);
+    QTensor in = randomInput(rng, 6, 7, 7);
+    const uint64_t scratch = 5;
+    const sram::Array &arr = cc.array(scratch);
+    const size_t materialized = cc.materializedCount();
+
+    auto got = ex.maxPool(in, 3, 3, 2, false, scratch);
+    auto want = dnn::maxPoolQuant(in, 3, 3, 2, false);
+    EXPECT_EQ(got.data(), want.data());
+    EXPECT_EQ(cc.materializedCount(), materialized);
+    EXPECT_GT(arr.computeCycles(), 0u);
+    EXPECT_EQ(cc.totalComputeCycles(), arr.computeCycles());
+
+    const mapping::PoolRowLayout rows =
+        mapping::makePoolRowLayout(cc.geometry());
+    const unsigned y = got.height() - 1, x = got.width() - 1;
+    for (unsigned c = 0; c < in.channels(); ++c)
+        EXPECT_EQ(bitserial::loadLane(arr, rows.best, c),
+                  want.at(c, y, x))
+            << "channel " << c;
+}
+
+TEST(Executor, MaxPoolTouchesTheScratchArrayFaultRecord)
+{
+    // Faults configured with BIST off, so no array retires: a one-shot
+    // flip scheduled on the scratch array's running-max band is
+    // consumed by the pool's own touches (the fold's first
+    // instruction overwrites the struck row, so the output holds).
+    Rng rng(23);
+    cache::ComputeCache cc;
+    sram::faults::Config fcfg;
+    fcfg.bist = false;
+    fcfg.killArrays = {cc.geometry().totalArrays() - 1};
+    cc.configureFaults(fcfg);
+    Executor ex(cc, 4);
+    QTensor in = randomInput(rng, 6, 7, 7);
+    const uint64_t scratch = 5;
+    const uint64_t physical = cc.physicalOf(scratch);
+    const mapping::PoolRowLayout rows =
+        mapping::makePoolRowLayout(cc.geometry());
+    cc.array(scratch);
+    cc.injectFlip(physical, rows.best.base, 3);
+    const sram::faults::ArrayFaults *rec =
+        cc.faultRegistry()->recordFor(physical);
+    ASSERT_NE(rec, nullptr);
+    ASSERT_TRUE(rec->faulty());
+
+    auto got = ex.maxPool(in, 3, 3, 2, false, scratch);
+    EXPECT_GT(rec->touches(), 0u);
+    EXPECT_FALSE(rec->faulty()) << "the scheduled flip is still pending";
+    EXPECT_EQ(got.data(), dnn::maxPoolQuant(in, 3, 3, 2, false).data());
 }
 
 TEST(Executor, EveryFilterArrayRunsTheSameStream)

@@ -5,7 +5,9 @@
  * CompiledModel::runBatch of the same inputs — across randomized
  * network shapes, engine thread counts, concurrent client counts,
  * and both transports. Plus the determinism property the bench
- * numbers rely on: identical request sets compose identical batches.
+ * numbers rely on: identical request sets compose identical batches,
+ * and a served model under a fault campaign repairs itself without
+ * changing a byte of any response.
  */
 
 #include <gtest/gtest.h>
@@ -162,6 +164,65 @@ TEST(ServeParity, SocketTransportPreservesParity)
     EXPECT_EQ(stats.completed, 12u);
     EXPECT_EQ(stats.errors, 0u);
     EXPECT_EQ(stats.mismatched, 0u);
+}
+
+TEST(ServeFaults, CanaryRepairInsideTheBatcherKeepsResponsesBitIdentical)
+{
+    // conv -> 2x2 max pool -> 1x1 head on 96 arrays (1 slice x 6 ways,
+    // the fault-recovery geometry). Killing the last array arms the
+    // campaign; a soft error then strikes logical array 0's guard row
+    // while the batcher is paused, so the runner thread's first pass
+    // must detect it, retire the array and rerun.
+    dnn::Network net;
+    net.name = "serve-faults";
+    net.stages.push_back(dnn::singleOpStage(
+        "conv1", dnn::conv("conv1", 8, 8, 3, 3, 3, 4)));
+    net.stages.push_back(dnn::singleOpStage(
+        "pool1", dnn::maxPool("pool1", 8, 8, 4, 2, 2, 2)));
+    net.stages.push_back(dnn::singleOpStage(
+        "head", dnn::conv("head", 4, 4, 4, 1, 1, 3)));
+    core::EngineOptions opts = serve_test::functionalOpts(2);
+    opts.config.geometry.slices = 1;
+    opts.config.geometry.waysPerSlice = 6;
+
+    core::Engine clean_engine(opts);
+    auto clean = clean_engine.compile(net);
+    std::vector<dnn::QTensor> inputs;
+    for (uint64_t i = 0; i < 8; ++i)
+        inputs.push_back(serve_test::inputFor(clean, 57, i));
+    auto expected = clean.runBatch(inputs).outputs;
+
+    opts.faults.killArrays = {opts.config.geometry.totalArrays() - 1};
+    core::Engine engine(opts);
+    auto model = engine.compile(net);
+    ASSERT_TRUE(model.canaryArmed());
+
+    serve::ServerOptions sopts;
+    sopts.batcher.maxBatch = 4;
+    sopts.batcher.startPaused = true;
+    serve::InferenceServer server(model, sopts);
+    auto client = server.loopback();
+    for (uint64_t i = 0; i < 8; ++i) {
+        serve::wire::RequestFrame req;
+        req.id = i + 1;
+        req.input = inputs[i];
+        client.send(req);
+    }
+    cache::ComputeCache *cc = model.computeCache();
+    cc->injectFlip(cc->physicalOf(0), cc->geometry().arrayRows - 1, 3);
+    server.batcher().resume();
+    for (int k = 0; k < 8; ++k) {
+        auto rsp = client.receive();
+        ASSERT_TRUE(rsp.has_value());
+        ASSERT_EQ(rsp->status, serve::wire::Status::Ok);
+        EXPECT_EQ(rsp->output.data(), expected[rsp->id - 1].data())
+            << "id " << rsp->id;
+    }
+    server.shutdown();
+
+    const core::InferenceReport rep = model.report(1);
+    EXPECT_GE(rep.faultsDetected, 1u);
+    EXPECT_GE(rep.passRetries, 1u);
 }
 
 } // namespace

@@ -29,39 +29,6 @@ class ArrayCompute : public ::testing::Test
     Array arr{16, 4};
 };
 
-TEST_F(ArrayCompute, DualRowAnd)
-{
-    arr.opAnd(0, 1, 2);
-    EXPECT_FALSE(arr.peek(2, 0));
-    EXPECT_FALSE(arr.peek(2, 1));
-    EXPECT_FALSE(arr.peek(2, 2));
-    EXPECT_TRUE(arr.peek(2, 3));
-}
-
-TEST_F(ArrayCompute, DualRowNor)
-{
-    arr.opNor(0, 1, 2);
-    EXPECT_TRUE(arr.peek(2, 0));
-    EXPECT_FALSE(arr.peek(2, 1));
-    EXPECT_FALSE(arr.peek(2, 2));
-    EXPECT_FALSE(arr.peek(2, 3));
-}
-
-TEST_F(ArrayCompute, DualRowOrXorXnor)
-{
-    arr.opOr(0, 1, 2);
-    arr.opXor(0, 1, 3);
-    arr.opXnor(0, 1, 4);
-    // OR: 0 1 1 1 ; XOR: 0 1 1 0 ; XNOR: 1 0 0 1
-    EXPECT_FALSE(arr.peek(2, 0));
-    EXPECT_TRUE(arr.peek(2, 1) && arr.peek(2, 2) && arr.peek(2, 3));
-    EXPECT_FALSE(arr.peek(3, 0));
-    EXPECT_TRUE(arr.peek(3, 1) && arr.peek(3, 2));
-    EXPECT_FALSE(arr.peek(3, 3));
-    EXPECT_TRUE(arr.peek(4, 0) && arr.peek(4, 3));
-    EXPECT_FALSE(arr.peek(4, 1) || arr.peek(4, 2));
-}
-
 TEST_F(ArrayCompute, FullAdderCycle)
 {
     arr.carrySet(false);
@@ -117,8 +84,10 @@ TEST_F(ArrayCompute, TagPredicationGatesWriteback)
 
 TEST_F(ArrayCompute, TagInvAndTagAnd)
 {
-    arr.opLoadTagInv(1); // lanes 0, 2
+    arr.tagSet(true);
+    arr.opTagAndInv(1); // AND with NOT B: lanes 0, 2
     EXPECT_TRUE(arr.tag().get(0) && arr.tag().get(2));
+    EXPECT_EQ(arr.tag().popcount(), 2u);
     arr.opTagAnd(0); // AND with A: lane 2 only
     EXPECT_FALSE(arr.tag().get(0));
     EXPECT_TRUE(arr.tag().get(2));
@@ -193,7 +162,7 @@ TEST(ArrayGeometry, DefaultIs8KB)
 TEST(ArrayDeath, SameRowDualActivation)
 {
     Array arr(8, 4);
-    EXPECT_DEATH(arr.opAnd(3, 3, 4), "dual activation");
+    EXPECT_DEATH(arr.opAdd(3, 3, 4), "dual activation");
 }
 
 TEST(ArrayDeath, RowOutOfRange)
