@@ -167,6 +167,24 @@ loadVector(const sram::Array &arr, const VecSlice &slice)
     return out;
 }
 
+void
+storeMembers(sram::Array &arr, const VecSlice &slice,
+             std::span<const uint64_t> values, unsigned first,
+             unsigned stride)
+{
+    nc_assert(values.size() <= arr.memberCols(),
+              "%zu values exceed %u-lane members", values.size(),
+              arr.memberCols());
+    nc_assert(slice.bits <= 8, "member stores take elements of <= 8 "
+              "bits, not %u", slice.bits);
+    const size_t live = (values.size() + 63) / 64;
+    common::ArenaScope scratch;
+    std::span<uint64_t> planes = scratch.alloc(size_t(slice.bits) * live);
+    sram::kern::active().packPlanes(values.data(), values.size(),
+                                    slice.bits, planes.data(), live);
+    arr.writeMemberRows(first, stride, slice.base, slice.bits, planes);
+}
+
 uint64_t
 loadLane(const sram::Array &arr, const VecSlice &slice, unsigned lane)
 {
@@ -179,6 +197,27 @@ loadLane(const sram::Array &arr, const VecSlice &slice, unsigned lane)
     for (unsigned b = 0; b < slice.bits; ++b)
         v |= ((arr.rowRef(slice.row(b)).word(wi) >> sh) & 1u) << b;
     return v;
+}
+
+void
+loadMemberLanes(const sram::Array &arr, const VecSlice &slice,
+                unsigned lane, std::span<uint64_t> out)
+{
+    nc_assert(slice.bits <= 64, "lane wider than 64 bits");
+    nc_assert(lane < arr.memberCols() && out.size() == arr.members(),
+              "lane %u of %zu outputs over %u members of %u lanes",
+              lane, out.size(), arr.members(), arr.memberCols());
+    // Members past the first start on word boundaries, memberCols()
+    // / 64 words apart, so lane `lane` of each sits at one shift.
+    const size_t mw = arr.memberCols() / 64;
+    const unsigned sh = lane % 64;
+    std::fill(out.begin(), out.end(), 0);
+    for (unsigned b = 0; b < slice.bits; ++b) {
+        const uint64_t *w =
+            arr.rowRef(slice.row(b)).wordData() + lane / 64;
+        for (size_t j = 0; j < out.size(); ++j)
+            out[j] |= ((w[j * mw] >> sh) & 1u) << b;
+    }
 }
 
 } // namespace nc::bitserial

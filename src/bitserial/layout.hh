@@ -8,6 +8,12 @@
  * non-overlapping slices within one array, mirroring how the mapper
  * carves an array into filter / input / scratchpad / partial-sum /
  * output regions (paper Figure 10).
+ *
+ * Vector I/O is cycle-free data movement. storeVector / loadVector /
+ * loadLane move one array's lanes; on a group array (sram::Array
+ * members side by side) storeMembers writes one vector into a
+ * strided set of members and loadMemberLanes reads one lane of every
+ * member, each in one pass over the slice's rows.
  */
 
 #ifndef NC_BITSERIAL_LAYOUT_HH
@@ -118,9 +124,31 @@ void storeSplat(sram::Array &arr, const VecSlice &slice,
 std::vector<uint64_t> loadVector(const sram::Array &arr,
                                  const VecSlice &slice);
 
+/**
+ * Store @p values (elements of <= 8 bits) into @p slice of members
+ * first, first + stride, ... of the group array @p arr: each such
+ * member ends as storeVector of @p values into a one-member array
+ * leaves it (lanes past values.size() zeroed, whatever they held).
+ * The values are packed once, only the ceil(values.size() / 64)
+ * live words per plane, and written through
+ * sram::Array::writeMemberRows.
+ */
+void storeMembers(sram::Array &arr, const VecSlice &slice,
+                  std::span<const uint64_t> values, unsigned first,
+                  unsigned stride);
+
 /** Read lane @p lane of @p slice as an unsigned element. */
 uint64_t loadLane(const sram::Array &arr, const VecSlice &slice,
                   unsigned lane);
+
+/**
+ * Read lane @p lane of @p slice in every member of @p arr: out[j]
+ * takes member j's element (out.size() == arr.members()), in one
+ * pass over the slice's rows. The rows are touched in loadLane's
+ * order, one touch each, so on a one-member array this is loadLane.
+ */
+void loadMemberLanes(const sram::Array &arr, const VecSlice &slice,
+                     unsigned lane, std::span<uint64_t> out);
 
 } // namespace nc::bitserial
 

@@ -5,6 +5,11 @@
 #include <cerrno>
 #include <cstdlib>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "common/env.hh"
 #include "common/logging.hh"
 
@@ -56,6 +61,42 @@ struct PoolTaskScope
     uint64_t prev;
 };
 #endif
+
+/**
+ * Pin worker i to the (i + 1)-th CPU after the calling thread's in
+ * its CPU set, when that set has a CPU for every worker and the
+ * caller (see the file comment's Placement).
+ */
+void
+pinWorkers(std::vector<std::thread> &workers)
+{
+#ifdef __linux__
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return;
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &allowed))
+            cpus.push_back(c);
+    if (cpus.size() <= workers.size())
+        return;
+    auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+    size_t k = here == cpus.end()
+                   ? 0
+                   : static_cast<size_t>(here - cpus.begin());
+    for (size_t i = 0; i < workers.size(); ++i) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpus[(k + 1 + i) % cpus.size()], &one);
+        // A refused pin leaves that worker where the scheduler puts
+        // it, as an unpinned pool would be.
+        pthread_setaffinity_np(workers[i].native_handle(), sizeof one,
+                               &one);
+    }
+#else
+    (void)workers;
+#endif
+}
 
 } // namespace
 
@@ -121,6 +162,7 @@ ThreadPool::ensureWorkers()
     workers.reserve(nThreads - 1);
     for (unsigned i = 0; i + 1 < nThreads; ++i)
         workers.emplace_back([this] { workerLoop(); });
+    pinWorkers(workers);
 }
 
 ThreadPool::~ThreadPool()

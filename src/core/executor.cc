@@ -60,20 +60,6 @@ groupArray(unsigned rows, unsigned cols, unsigned members)
 }
 
 /**
- * The calling thread's one-member staging array: a window's input is
- * stored here once per channel chunk, then copied into every member
- * that reads it.
- */
-sram::Array &
-stagingArray(unsigned rows, unsigned cols)
-{
-    thread_local std::unique_ptr<sram::Array> stage;
-    if (!stage || stage->rows() != rows || stage->cols() != cols)
-        stage = std::make_unique<sram::Array>(rows, cols);
-    return *stage;
-}
-
-/**
  * Stage one slot of @p in into @p vals, zeroed first: each run reads
  * its chunk-relative channels (c0 + ch, clipped to the chunk's @p
  * channels) at (y0 + dy, x0 + dx) into its lanes, and a run whose
@@ -400,16 +386,19 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
             const bool direct = n == 1;
             sram::Array &group =
                 direct ? member(t0) : groupArray(arows, cols, n);
-            sram::Array &stage =
-                direct ? group : stagingArray(arows, cols);
             if (!direct)
                 for (unsigned j = 0; j < n; ++j)
                     group.loadMember(j, member(t0 + j));
             const uint64_t compute0 = group.computeCycles();
             const uint64_t access0 = group.accessCycles();
+            nc_dassert(n <= kMaxGroupArrays, "group of %u arrays", n);
+            std::array<uint64_t, kMaxGroupArrays> partials;
+            const std::span<uint64_t> psum(partials.data(), n);
 
             // Members of one channel chunk read the same window: the
-            // first `distinct` members cover every chunk present.
+            // first `distinct` members cover every chunk present, and
+            // each window slot is gathered once per chunk and stored
+            // into all of that chunk's members at once.
             const size_t distinct = std::min<size_t>(n, chunks);
             for (unsigned y = 0; y < oh; ++y) {
                 for (unsigned x = 0; x < ow; ++x) {
@@ -424,19 +413,19 @@ Executor::PreparedConv::run(const dnn::QTensor &in,
                             gather(vals, in, table.slots[k], y0, x0, c0,
                                    std::min(c, c0 + fplan.chunkChannels) -
                                        c0);
-                            bs::storeVector(stage, slot, vals);
                             if (direct)
-                                continue;
-                            for (size_t u = t; u < t1; u += chunks)
-                                group.loadMemberRows(
-                                    static_cast<unsigned>(u - t0), stage,
-                                    slot.base, slot.bits);
+                                bs::storeVector(group, slot, vals);
+                            else
+                                bs::storeMembers(
+                                    group, slot, vals,
+                                    static_cast<unsigned>(t - t0),
+                                    chunks);
                         }
                     });
+                    bs::loadMemberLanes(group, rows.partial, 0, psum);
                     for (unsigned j = 0; j < n; ++j)
                         sums[(t0 + j) * win + size_t(y) * ow + x] =
-                            static_cast<uint32_t>(bs::loadLane(
-                                group, rows.partial, j * cols));
+                            static_cast<uint32_t>(psum[j]);
                 }
             }
 

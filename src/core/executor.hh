@@ -30,7 +30,12 @@
  * contiguous run of arrays side by side into one task-private group
  * array (sram::Array member lanes), issues every window's input
  * stores and program once over it, then copies each member back and
- * charges it the group's cycles — exactly what it counts alone. A
+ * charges it the group's cycles — exactly what it counts alone. Each
+ * window slot is gathered and packed once per channel chunk and
+ * written straight into every member of that chunk
+ * (bitserial::storeMembers), and every member's partial sum is read
+ * in one pass over the partial band's rows
+ * (bitserial::loadMemberLanes). A
  * pass of n arrays runs as max(ceil(n / 64), W) groups: W is
  * min(n, pool size), or 1 when the call already runs inside a pool
  * task (a branch or image fan-out), where the inner loop runs

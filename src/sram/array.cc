@@ -37,22 +37,12 @@ Array::memberWord(unsigned j, const Array &other) const
 }
 
 void
-Array::loadMemberRows(unsigned j, const Array &src, unsigned row0,
-                      unsigned count)
-{
-    const size_t w0 = memberWord(j, src);
-    nc_assert(row0 <= nrows && count <= nrows - row0,
-              "rows [%u,%u) out of %u", row0, row0 + count, nrows);
-    for (unsigned r = row0; r < row0 + count; ++r)
-        std::copy_n(src.rowRef(r).wordData(), src.nwords,
-                    rowMut(r).wordData() + w0);
-}
-
-void
 Array::loadMember(unsigned j, const Array &src)
 {
-    loadMemberRows(j, src, 0, nrows);
     const size_t w0 = memberWord(j, src);
+    for (unsigned r = 0; r < nrows; ++r)
+        std::copy_n(src.rowRef(r).wordData(), src.nwords,
+                    rowMut(r).wordData() + w0);
     src.checkOwner();
     checkOwner();
     std::copy_n(src.carryLatch.wordData(), src.nwords,
@@ -74,6 +64,34 @@ Array::storeMember(unsigned j, Array &dst) const
                 dst.carryLatch.wordData());
     std::copy_n(tagLatch.wordData() + w0, dst.nwords,
                 dst.tagLatch.wordData());
+}
+
+void
+Array::writeMemberRows(unsigned first, unsigned stride, unsigned row0,
+                       unsigned count, std::span<const uint64_t> planes)
+{
+    const size_t mw = mcols / 64;
+    nc_assert(mcols % 64 == 0 && first < members() && stride > 0,
+              "member set {%u, +%u} of %u members of %u lanes", first,
+              stride, members(), mcols);
+    nc_assert(count > 0 && row0 <= nrows && count <= nrows - row0,
+              "rows [%u,%u) out of %u", row0, row0 + count, nrows);
+    const size_t live = planes.size() / count;
+    nc_assert(planes.size() % count == 0 && live <= mw,
+              "%zu plane words over %u rows exceed %zu-word members",
+              planes.size(), count, mw);
+    // Word-major: each member's few words are plain stores, where a
+    // per-member copy and fill cost a library call each.
+    const size_t nm = members();
+    for (unsigned b = 0; b < count; ++b) {
+        uint64_t *row = rowMut(row0 + b).wordData();
+        const uint64_t *plane = planes.data() + size_t(b) * live;
+        for (size_t k = 0; k < mw; ++k) {
+            const uint64_t v = k < live ? plane[k] : 0;
+            for (size_t j = first; j < nm; j += stride)
+                row[j * mw + k] = v;
+        }
+    }
 }
 
 void

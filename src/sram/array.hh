@@ -47,14 +47,17 @@
  * does what that op does on each member array — the §IV-F broadcast,
  * where every array of a slice steps through the same instruction.
  * The functional conv kernel runs a pass's arrays this way:
- * loadMember() copies each member array in, the window programs run
- * once over the group, storeMember() copies each member back.
+ * loadMember() copies each member array in, writeMemberRows() stages
+ * each window's packed input planes straight into every member that
+ * reads them, the window programs run once over the group, and
+ * storeMember() copies each member back.
  */
 
 #ifndef NC_SRAM_ARRAY_HH
 #define NC_SRAM_ARRAY_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sram/bitrow.hh"
@@ -109,11 +112,21 @@ class Array
      * memberCols() lanes and rows() rows, into member @p j.
      */
     void loadMember(unsigned j, const Array &src);
-    /** Copy rows [row0, row0 + count) of @p src into member @p j. */
-    void loadMemberRows(unsigned j, const Array &src, unsigned row0,
-                        unsigned count);
     /** Copy member @p j's rows and both latches into @p dst. */
     void storeMember(unsigned j, Array &dst) const;
+    /**
+     * Write one band of bit planes into members first, first +
+     * stride, ... below members() (whole-word members only): row
+     * row0 + b of each takes plane b, words [b * live, (b + 1) *
+     * live) of @p planes with live = planes.size() / count, at the
+     * member's first words, and reads 0 through the member's last
+     * word, whatever it held. One row funnel touch per row, however
+     * many members. The conv kernel stages each window this way,
+     * once into every member of its channel chunk.
+     */
+    void writeMemberRows(unsigned first, unsigned stride, unsigned row0,
+                         unsigned count,
+                         std::span<const uint64_t> planes);
     /// @}
 
     /** @name Conventional SRAM mode (1 access cycle each) */
@@ -261,8 +274,8 @@ class Array
      * state access verifies the calling task owns flat array
      * @p flat_index in @p reg (see sram/ownership.hh). ComputeCache
      * tags its arrays at materialization in debug builds; standalone
-     * arrays (unit tests, the conv kernel's task-private group and
-     * staging arrays) stay untagged and unchecked. No-op under NDEBUG.
+     * arrays (unit tests, the conv kernel's task-private group
+     * arrays) stay untagged and unchecked. No-op under NDEBUG.
      */
     void setOwnership(ownership::Registry *reg, uint64_t flat_index);
 

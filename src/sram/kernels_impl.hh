@@ -609,9 +609,28 @@ packPlanesPass(const uint64_t *vals, size_t nvals, unsigned bits,
 /// @{
 
 /**
+ * f(0), ..., f(n - 1). A compile-time count N (= n) unrolls the loop
+ * fully, so arrays indexed by the loop variable stay in registers;
+ * N = 0 runs a plain loop over the runtime @p n.
+ */
+template <unsigned N, class F>
+inline void
+repeat(unsigned n, F &&f)
+{
+    if constexpr (N != 0) {
+#pragma GCC unroll 64
+        for (unsigned k = 0; k < N; ++k)
+            f(k);
+    } else {
+        for (unsigned k = 0; k < n; ++k)
+            f(k);
+    }
+}
+
+/**
  * bitserial::multiply (acc untouched) or macScratch (MAC) on words
- * [i, nw). M, N, ACC fix the widths at compile time; 0 reads them
- * from @p x.
+ * [i, nw). M, N, ACC fix the widths at compile time, unrolling the
+ * multiplier-bit and accumulate loops; 0 reads them from @p x.
  */
 template <class B, unsigned M, unsigned N, unsigned ACC, bool MAC>
 void
@@ -635,7 +654,7 @@ mulPass(const MulRows &x, size_t i, size_t nw)
             p[k] = zero;
         V c = zero;
         V t = zero;
-        for (unsigned bi = 0; bi < n; ++bi) {
+        repeat<N>(n, [&](unsigned bi) {
             t = B::load(x.b[bi] + i);
             c = zero;
             for (unsigned j = 0; j < m; ++j) {
@@ -644,7 +663,7 @@ mulPass(const MulRows &x, size_t i, size_t nw)
                 c = B::maj3(av[j], pj, c);
             }
             p[bi + m] = B::and_(t, c);
-        }
+        });
         for (unsigned k = 0; k < m + n; ++k)
             B::store(x.prod[k] + i, p[k]);
         if constexpr (MAC) {
@@ -652,12 +671,12 @@ mulPass(const MulRows &x, size_t i, size_t nw)
             // above the product padded with the zero row as stored.
             const V z = w > m + n ? B::load(x.zero + i) : zero;
             c = zero;
-            for (unsigned j = 0; j < w; ++j) {
+            repeat<ACC>(w, [&](unsigned j) {
                 const V u = j < m + n ? p[j] : z;
                 const V v = B::load(x.acc[j] + i);
                 B::store(x.acc[j] + i, B::sum3(u, v, c));
                 c = B::maj3(u, v, c);
-            }
+            });
         }
         B::store(x.carry + i, c);
         B::store(x.tag + i, t);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -212,6 +218,69 @@ TEST(ThreadPool, DisjointWritesNeedNoSynchronization)
     for (size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * i);
 }
+
+#ifdef __linux__
+/**
+ * The CPU set of every thread of @p pool, read from inside one job
+ * whose indices each wait until the pool's every thread holds one,
+ * so each thread reports exactly once. .first marks the caller.
+ */
+std::vector<std::pair<bool, cpu_set_t>>
+threadCpuSets(ThreadPool &pool)
+{
+    std::mutex m;
+    std::vector<std::pair<bool, cpu_set_t>> seen;
+    std::atomic<unsigned> arrived{0};
+    withWatchdog(std::chrono::seconds(60), "cpu-set probe", [&] {
+        const std::thread::id caller = std::this_thread::get_id();
+        pool.parallelFor(pool.size(), [&](size_t) {
+            cpu_set_t mine;
+            CPU_ZERO(&mine);
+            EXPECT_EQ(sched_getaffinity(0, sizeof mine, &mine), 0);
+            {
+                std::lock_guard lk(m);
+                seen.emplace_back(std::this_thread::get_id() == caller,
+                                  mine);
+            }
+            arrived.fetch_add(1);
+            while (arrived.load() < pool.size())
+                std::this_thread::yield();
+        });
+    });
+    return seen;
+}
+
+TEST(ThreadPool, WorkersPinToCpusOfTheirOwnWhenThePoolFits)
+{
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+    const unsigned ncpu = static_cast<unsigned>(CPU_COUNT(&allowed));
+
+    // A pool that fits: one CPU per worker, a different one each,
+    // and the caller keeps its own set.
+    ThreadPool fits(std::min(ncpu, 4u));
+    std::set<int> pinned;
+    for (const auto &[is_caller, set] : threadCpuSets(fits)) {
+        if (is_caller) {
+            EXPECT_TRUE(CPU_EQUAL(&set, &allowed));
+            continue;
+        }
+        ASSERT_EQ(CPU_COUNT(&set), 1);
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &set)) {
+                EXPECT_TRUE(CPU_ISSET(c, &allowed)) << "cpu " << c;
+                EXPECT_TRUE(pinned.insert(c).second) << "cpu " << c;
+            }
+    }
+    EXPECT_EQ(pinned.size(), fits.size() - 1);
+
+    // One thread more than CPUs: no worker is pinned.
+    ThreadPool over(ncpu + 1);
+    for (const auto &[is_caller, set] : threadCpuSets(over))
+        EXPECT_TRUE(CPU_EQUAL(&set, &allowed)) << "caller " << is_caller;
+}
+#endif
 
 TEST(ThreadPool, ValidEnvThreadCountIsHonored)
 {

@@ -99,12 +99,15 @@ struct GroupCase
 constexpr unsigned kStuckRow = 165;
 
 /** One layer per way a pass is cut: plain, split, packed, two
- * channel chunks, streaming, streaming with two chunks. */
+ * channel chunks, streaming, streaming with two chunks; and a
+ * 128-lane layer, whose members each hold two live and two dead
+ * input words. */
 const std::vector<GroupCase> &
 lockstepShapes()
 {
     static const std::vector<GroupCase> shapes = {
         {"plain", 8, 7, 7, 6, 3, 3, 1, 1, 1, 0},
+        {"128-lane", 100, 5, 5, 6, 3, 3, 1, 1, 1, 0},
         {"split", 8, 6, 6, 5, 5, 5, 1, 3, 1, 0},
         {"packed", 300, 4, 4, 4, 1, 1, 16, 1, 1, 0},
         {"two-chunk", 300, 4, 4, 3, 3, 3, 1, 1, 2, 0},
@@ -112,6 +115,25 @@ lockstepShapes()
         {"streaming-two-chunk", 300, 3, 3, 5, 3, 3, 1, 1, 2, 4},
     };
     return shapes;
+}
+
+/** The state of arrays [0, @p count) of @p cc. */
+std::vector<ArrayState>
+arrayStates(cache::ComputeCache &cc, uint64_t count)
+{
+    std::vector<ArrayState> states;
+    for (uint64_t i = 0; i < count; ++i) {
+        sram::Array &a = cc.array(i);
+        ArrayState st;
+        for (unsigned r = 0; r < a.rows(); ++r)
+            st.rows.push_back(a.rowRef(r));
+        st.carry = a.carry();
+        st.tag = a.tag();
+        st.compute = a.computeCycles();
+        st.access = a.accessCycles();
+        states.push_back(std::move(st));
+    }
+    return states;
 }
 
 /** Run @p gc on a fresh cache with @p threads workers; return the
@@ -153,20 +175,8 @@ runGroupCase(const GroupCase &gc, const QTensor &in, const QWeights &w,
 
     unsigned oh, ow;
     auto out = layer.run(in, w, oh, ow);
-    std::vector<ArrayState> states;
-    for (uint64_t i = 0; i < layer.bandArrays(); ++i) {
-        sram::Array &a = cc.array(i);
-        ArrayState st;
-        for (unsigned r = 0; r < a.rows(); ++r)
-            st.rows.push_back(a.rowRef(r));
-        st.carry = a.carry();
-        st.tag = a.tag();
-        st.compute = a.computeCycles();
-        st.access = a.accessCycles();
-        states.push_back(std::move(st));
-    }
     EXPECT_EQ(cc.materializedCount(), layer.bandArrays());
-    return {std::move(out), std::move(states)};
+    return {std::move(out), arrayStates(cc, layer.bandArrays())};
 }
 
 TEST(ExecutorThreads, ConvArraysIdenticalAcrossLockstepGroups)
@@ -231,6 +241,66 @@ TEST(ExecutorThreads, FusedPassesLeaveArraysAsTheMicroOpsDo)
                     << " threads";
             }
         }
+    }
+}
+
+TEST(ExecutorThreads, NarrowLayerOverWideLayerLeavesNoStaleInputs)
+{
+    // A 256-lane layer (chunks of 256 and 44 channels) then an
+    // 8-lane layer stream through the same four-array band, and both
+    // stage their windows into input rows 72-143. The narrow layer's
+    // staging must clear every lane the wide one left set: each
+    // array must end as it does when every band array runs alone in
+    // reference mode.
+    const uint64_t band = 4;
+    Rng rng(0x57A1Eu);
+    const QTensor in_a = randomInput(rng, 300, 3, 3);
+    const QWeights w_a = randomWeights(rng, 5, 300, 3, 3);
+    const QTensor in_b = randomInput(rng, 8, 4, 4);
+    const QWeights w_b = randomWeights(rng, 7, 8, 3, 3);
+    auto run = [&](unsigned threads, bool reference) {
+        cache::ComputeCache cc;
+        Executor ex(cc, threads);
+        const std::pair<const QTensor *, const QWeights *> seq[] = {
+            {&in_a, &w_a}, {&in_b, &w_b}};
+        std::vector<Executor::PreparedConv> layers;
+        for (auto [in, w] : seq) {
+            const mapping::FunctionalConvPlan plan =
+                mapping::planFunctionalConv(
+                    dnn::conv("conv", in->height(), in->width(), w->c,
+                              3, 3, w->m)
+                        .conv,
+                    cc.geometry());
+            layers.push_back(ex.prepareConv(*w, plan, 1, true, 0, band));
+            const mapping::ConvRowLayout &rows = layers.back().rowLayout();
+            EXPECT_FALSE(layers.back().resident());
+            EXPECT_EQ(rows.lanes, w == &w_a ? 256u : 8u);
+            EXPECT_EQ(rows.inp.front().base, 72u);
+            EXPECT_EQ(rows.inp.back().base + rows.inp.back().bits, 144u);
+        }
+        if (reference)
+            for (uint64_t i = 0; i < band; ++i)
+                cc.array(i).setReferenceMode(true);
+        std::vector<std::vector<uint32_t>> outs;
+        for (size_t l = 0; l < layers.size(); ++l) {
+            unsigned oh, ow;
+            outs.push_back(
+                layers[l].run(*seq[l].first, *seq[l].second, oh, ow));
+        }
+        return std::make_pair(std::move(outs), arrayStates(cc, band));
+    };
+    auto [want_outs, want_states] = run(4, /*reference=*/true);
+    unsigned oh, ow;
+    EXPECT_EQ(want_outs[0], dnn::convQuantUnsigned(in_a, w_a, 1, true, oh, ow));
+    EXPECT_EQ(want_outs[1], dnn::convQuantUnsigned(in_b, w_b, 1, true, oh, ow));
+    for (unsigned threads : {1u, 2u, 4u}) {
+        auto [outs, states] = run(threads, false);
+        EXPECT_EQ(outs, want_outs) << threads << " threads";
+        ASSERT_EQ(states.size(), want_states.size());
+        for (size_t i = 0; i < states.size(); ++i)
+            EXPECT_TRUE(states[i] == want_states[i])
+                << "array " << i << " differs with " << threads
+                << " threads";
     }
 }
 

@@ -282,8 +282,10 @@ TEST_P(KernelDiff, TransposedStoreLoadRoundTrip)
 /**
  * Group arrays: members of 64, 128 or 256 lanes side by side. The
  * lane shift — the one cross-lane op — must move bits only within a
- * member, on the fast path and the reference path alike, and the
- * member copies must round-trip rows and both latches.
+ * member, on the fast path and the reference path alike; the member
+ * copies must round-trip rows and both latches; and the member-set
+ * store and the per-member lane read-out must act on each member as
+ * storeVector and loadLane act on a solo array.
  */
 class MemberDiff
     : public ::testing::TestWithParam<std::tuple<Tier, unsigned, unsigned>>
@@ -383,17 +385,46 @@ TEST_P(MemberDiff, MemberCopiesRoundTripRowsAndLatches)
         }
     }
 
-    // A staged row band lands in one member only.
-    Array stage(kRows, width());
-    for (unsigned lane = 0; lane < width(); ++lane)
-        stage.poke(5, lane, lane % 3 == 0);
+    // A vector shorter than a member, stored over the random (stale)
+    // words of a strided member set, leaves each of those members as
+    // storeVector leaves a solo array, and the others untouched.
+    const nc::bitserial::VecSlice band{5, 8};
+    std::vector<uint64_t> vals(width() / 2 - 3);
+    for (uint64_t &v : vals)
+        v = rng.uniformBits(8);
+    const unsigned first = members() > 2 ? 1 : 0, stride = 2;
+    auto written = [&](unsigned j) {
+        return j >= first && (j - first) % stride == 0;
+    };
     Array before = *fast;
-    unsigned last = members() - 1;
-    fast->loadMemberRows(last, stage, 5, 1);
-    for (unsigned i = 0; i < cols(); ++i) {
-        bool want = i / width() == last ? (i % width()) % 3 == 0
-                                        : before.peek(5, i);
-        EXPECT_EQ(fast->peek(5, i), want) << "lane " << i;
+    nc::bitserial::storeMembers(*fast, band, vals, first, stride);
+    for (unsigned j = 0; j < members(); ++j) {
+        Array want(kRows, width());
+        want.setReferenceMode(true); // the bit-by-bit store
+        nc::bitserial::storeVector(want, band, vals);
+        for (unsigned r = band.base; r < band.base + band.bits; ++r) {
+            for (unsigned lane = 0; lane < width(); ++lane) {
+                const unsigned at = j * width() + lane;
+                ASSERT_EQ(fast->peek(r, at), written(j)
+                                                 ? want.peek(r, lane)
+                                                 : before.peek(r, at))
+                    << "member " << j << " row " << r << " lane " << lane;
+            }
+        }
+    }
+
+    // The read-out takes one lane of every member, as loadLane does.
+    std::vector<uint64_t> got(members());
+    for (unsigned lane : {0u, 1u, width() / 2 - 4, width() - 1}) {
+        for (const nc::bitserial::VecSlice &s :
+             {band, nc::bitserial::VecSlice{0, kRows}}) {
+            nc::bitserial::loadMemberLanes(*fast, s, lane, got);
+            for (unsigned j = 0; j < members(); ++j)
+                EXPECT_EQ(got[j], nc::bitserial::loadLane(
+                                      *fast, s, j * width() + lane))
+                    << "member " << j << " lane " << lane << " rows "
+                    << s.base << "+" << s.bits;
+        }
     }
 
     // Ops on the group act per member; copying back gives each solo
@@ -401,8 +432,8 @@ TEST_P(MemberDiff, MemberCopiesRoundTripRowsAndLatches)
     fast->opAdd(0, 1, 4);
     for (unsigned j = 0; j < members(); ++j) {
         Array want = solo[j];
-        if (j == last)
-            want.loadMemberRows(0, stage, 5, 1);
+        if (written(j))
+            nc::bitserial::storeVector(want, band, vals);
         want.opAdd(0, 1, 4);
         fast->storeMember(j, solo[j]);
         for (unsigned r = 0; r < kRows; ++r)
