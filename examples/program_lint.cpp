@@ -3,8 +3,9 @@
  * Static program lint: run the compile-time bit-serial program
  * verifier (core/program_verify.hh) over a named network and dump
  * per-layer verification stats — instructions, rows defined, peak
- * live rows, and the static cycle account the CostModel cross-check
- * proved bit-exact.
+ * live rows, and the static cycle account. Check class 5 proved each
+ * conv, eltwise and maxpool account equal to its CostModel closed
+ * form bit-exact; requant programs are exempt from it.
  *
  * Engine::compile already runs the same verifier unconditionally and
  * dies on the first violation; this tool re-runs it with the
@@ -108,8 +109,8 @@ main(int argc, char **argv)
     // first violation; a second pass with the reporting sink makes
     // the per-layer stats visible. The analytic backend verifies the
     // canonical programs without placing the model; a functional
-    // compile verifies the streams its prepared kernels run, plus the
-    // audited band placement.
+    // compile verifies the streams its kernels run, built with each
+    // layer's scalars, plus the audited band placement.
     std::vector<core::verify::LayerProgramReport> reports;
     core::verify::VerifySummary sum;
     if (backend == core::BackendKind::Analytic) {
@@ -136,8 +137,9 @@ main(int argc, char **argv)
                     r.stats.maxLiveRows,
                     (unsigned long long)r.stats.staticCycles);
     }
-    std::printf("\nverified %llu programs in %.3f ms; every static "
-                "cycle sum matched the CostModel bit-exact\n",
+    std::printf("\nverified %llu programs in %.3f ms; every conv, "
+                "eltwise and maxpool static cycle sum matched its "
+                "CostModel closed form bit-exact (requant is exempt)\n",
                 (unsigned long long)sum.programsVerified,
                 sum.verifyMs);
     return 0;

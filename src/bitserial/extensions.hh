@@ -17,7 +17,8 @@
  *    slice lets fully-zero passes skip the whole multiply.
  *
  *  - The saturating narrow that clamps a requantized value to 8 bits
- *    (§IV-D), which the executor's requantize runs.
+ *    (§IV-D): the Saturate instruction that ends the requant and
+ *    eltwise merge programs.
  */
 
 #ifndef NC_BITSERIAL_EXTENSIONS_HH

@@ -2,7 +2,7 @@
  * @file
  * Chunked bump arena for per-run word scratch.
  *
- * The prepared kernels (Executor conv/pool/requantize tasks, the
+ * The executor kernels (conv, pool, requantize and merge tasks, the
  * layout transposes of bitserial::storeVector/loadVector) need small
  * uint64_t scratch buffers on every window of every layer — hot
  * enough that a heap allocation per window shows up in perf_report.

@@ -224,19 +224,15 @@ CompiledModel::placeAndPrepare(bool force_streaming)
     if (!functional)
         return;
 
-    // --- Pass C: prepare the per-layer kernels on the plan and band
-    // each conv was given above. ------------------------------------
+    // --- Pass C: prepare each conv on the plan and band it was given
+    // above (the scratch kernels build their programs per call). -----
     for (CompiledLayer &layer : layers) {
-        if (layer.op.isConv()) {
-            const dnn::ConvOp &co = layer.op.conv;
-            layer.funcConv = ex->prepareConv(
-                layer.weights, layer.funcPlan, co.stride, co.samePad,
-                layer.baseArray, layer.bandArrays, layer.bandResident);
-        } else if (layer.op.kind == dnn::OpKind::EltwiseAdd) {
-            layer.funcElt = ex->prepareEltwise(
-                layer.requantMult, layer.requantShift,
-                layer.scratchArray);
-        }
+        if (!layer.op.isConv())
+            continue;
+        const dnn::ConvOp &co = layer.op.conv;
+        layer.funcConv = ex->prepareConv(
+            layer.weights, layer.funcPlan, co.stride, co.samePad,
+            layer.baseArray, layer.bandArrays, layer.bandResident);
     }
 }
 
@@ -383,13 +379,11 @@ CompiledModel::runLayers(const dnn::QTensor &input,
                 stage.shortcutBranch >= 0
                     ? outs[static_cast<size_t>(stage.shortcutBranch)]
                     : in0;
-            CompiledLayer &l = layers[br.layerIdx.back()];
+            const CompiledLayer &l = layers[br.layerIdx.back()];
             if (kind == BackendKind::Functional) {
-                nc_assert(l.funcElt.has_value(),
-                          "eltwise '%s' was not prepared for the "
-                          "functional backend", l.op.name().c_str());
-                outs[bi].data() = l.funcElt->run(
-                    outs[bi].data(), operand.data(), array_offset);
+                outs[bi].data() = ex->eltwiseAdd(
+                    outs[bi].data(), operand.data(), l.requantMult,
+                    l.requantShift, l.scratchArray + array_offset);
             } else {
                 outs[bi] = dnn::eltwiseAddQuant(outs[bi], operand,
                                                 l.requantMult,

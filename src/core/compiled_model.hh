@@ -10,9 +10,9 @@
  * repeatedly without re-planning or re-streaming weights, which is
  * the whole point of the paper's §IV-E amortization argument. Every
  * layer runs on the model's one backend, called directly: a
- * Functional model runs the Executor's prepared conv and eltwise
- * kernels and its pool and requantize kernels on the layer's arrays,
- * a Reference model the dnn::reference loops. It holds only what
+ * Functional model runs the Executor's prepared conv kernels on their
+ * bands and its scratch kernels on the layer's scratch array, a
+ * Reference model the dnn::reference loops. It holds only what
  * runs: the §IV-C transposed DRAM image of a conv layer's filters is
  * a modeled artifact no kernel reads, built on demand by
  * mapping::WeightLayout from the layer's op, plan and weights.
@@ -85,11 +85,6 @@ struct CompiledLayer
      * (streaming regime). */
     bool bandResident = true;
     std::optional<Executor::PreparedConv> funcConv;
-    /// @}
-
-    /** @name Eltwise artifacts */
-    /// @{
-    std::optional<Executor::PreparedEltwise> funcElt;
     /// @}
 
     /**
@@ -304,7 +299,7 @@ class CompiledModel
     /**
      * Pass B + C of compilation, re-runnable: plan the §IV-E banding
      * over the currently usable arrays, place every on-array layer,
-     * materialize scratch, and prepare the per-layer kernels.
+     * materialize scratch, and prepare the conv kernels.
      * Engine::compile runs it once; runtime repair re-runs it to
      * shed capacity (fewer image slots, or streaming once one
      * image's bands no longer fit) after arrays retire. Resets

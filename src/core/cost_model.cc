@@ -34,6 +34,15 @@ PhaseBreakdown::operator+=(const PhaseBreakdown &o)
     return *this;
 }
 
+namespace
+{
+
+/** The ALU timing every charge prices: the FSM's native one, which is
+ * what runProgram charges. */
+constexpr bitserial::AluConfig kAlu{};
+
+} // namespace
+
 CostModel::CostModel(cache::Geometry geom_, CostConfig cfg_,
                      cache::DramModel dram_)
     : geom(std::move(geom_)), cfg(cfg_), dramModel(dram_)
@@ -59,7 +68,7 @@ CostModel::reduceCyclesPerConv(const mapping::ConvPlan &plan) const
         return cfg.paperReduceCycles;
     double cycles = static_cast<double>(bitserial::implReduceSumCycles(
         cfg.accumulatorBits, plan.lanesPerConv,
-        cfg.alu.moveCyclesPerRow));
+        kAlu.moveCyclesPerRow));
     if (!plan.fitsSenseAmpPair)
         cycles *= cfg.interArrayReduceFactor;
     return cycles;
@@ -68,8 +77,6 @@ CostModel::reduceCyclesPerConv(const mapping::ConvPlan &plan) const
 double
 CostModel::quantCyclesPerPass() const
 {
-    if (cfg.quantCyclesPerPass > 0.0)
-        return cfg.quantCyclesPerPass;
     // Fixed-point requantization of each buffered output: one widened
     // multiply by the CPU-provided scalar, a shift, and an offset add
     // (paper §IV-D), applied to the 32-bit accumulated outputs.
@@ -92,7 +99,7 @@ CostModel::convWindowProgramCycles(unsigned lanes,
            uint64_t(eff_rs) * bitserial::implMacScratchCycles(
                                   cfg.bits, cfg.accumulatorBits) +
            bitserial::implReduceSumCycles(cfg.accumulatorBits, lanes,
-                                          cfg.alu.moveCyclesPerRow);
+                                          kAlu.moveCyclesPerRow);
 }
 
 uint64_t
@@ -120,13 +127,13 @@ namespace
 
 /** Cycles of the once-per-layer min/max search (paper §IV-D). */
 double
-minMaxOnceCycles(const CostConfig &cfg, unsigned cols)
+minMaxOnceCycles(unsigned cols)
 {
     // In-array min and max trees over the 32-bit outputs, then a short
     // bus tree across arrays/slices (rare enough that the paper calls
     // its penalty small); we charge a flat thousand bus cycles.
     return 2.0 * static_cast<double>(bitserial::implReduceMaxCycles(
-               32, cols, cfg.alu.moveCyclesPerRow)) +
+               32, cols, kAlu.moveCyclesPerRow)) +
            1000.0;
 }
 
@@ -146,7 +153,7 @@ CostModel::convCost(const dnn::ConvOp &op) const
     double mac = macCyclesPerConv(plan);
     double reduce = reduceCyclesPerConv(plan);
     double quant = quantCyclesPerPass();
-    double minmax = minMaxOnceCycles(cfg, geom.arrayCols);
+    double minmax = minMaxOnceCycles(geom.arrayCols);
 
     cost.phases.macPs = computePs(passes * mac);
     cost.phases.reducePs = computePs(passes * reduce);

@@ -59,14 +59,8 @@ struct CostConfig
     double paperMacCycles = 236.0;   ///< cycles per 8-bit MAC
     double paperReduceCycles = 660.0; ///< cycles per channel reduction
 
-    /** Analytic-mode knobs. */
-    bitserial::AluConfig alu;
-    /** Reduction slowdown once operands span >2 arrays. */
+    /** Analytic-mode reduction slowdown past 2 arrays. */
     double interArrayReduceFactor = 2.0;
-
-    /** Quantization cycles per serial pass (min/max trees + requant);
-     * 0 selects the analytic estimate. */
-    double quantCyclesPerPass = 0.0;
 
     /**
      * Input-stream calibration: the structural model charges every
@@ -157,11 +151,10 @@ class CostModel
     /// @}
 
     /** @name Canonical program charges (program_verify cross-check)
-     * Exact cycle totals of the per-layer instruction streams both
-     * functional kernels issue, from the same impl* formulas the ALU
-     * returns. The static program verifier proves its per-opcode sum
-     * equals these bit-exact, so the analytic constants and the
-     * verified programs can never drift apart.
+     * Closed forms of the conv window, eltwise merge and max-pool fold
+     * programs from the impl* formulas the ALU returns, which check
+     * class 5 equates with each program's static sum. Only the
+     * verifier calls them; the stage prices below differ from them.
      */
     /// @{
     /** One conv output window: zero the partial, @p eff_rs MACs,

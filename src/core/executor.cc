@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "bitserial/alu.hh"
-#include "bitserial/extensions.hh"
 #include "bitserial/layout.hh"
 #include "common/arena.hh"
 #include "common/bits.hh"
@@ -113,7 +112,6 @@ struct PoolWalk
               sram::ownership::Range{scratch, 1}, 0, label),
           arr(cc.array(scratch)), in(in_), stride(stride_),
           cchunk(std::min(in_.channels(), cc.geometry().arrayCols)),
-          lanes(static_cast<unsigned>(roundUpPow2(cchunk))),
           oh(dnn::outDim(in_.height(), r, stride_, same_pad)),
           ow(dnn::outDim(in_.width(), s, stride_, same_pad)),
           ph(static_cast<int>(
@@ -121,9 +119,6 @@ struct PoolWalk
           pw(static_cast<int>(
               padBefore(in_.width(), s, stride_, same_pad)))
     {
-        nc_assert(lanes <= arr.cols(), "pool: %u lanes exceed %u bit "
-                  "lines (non-power-of-two array width)", lanes,
-                  arr.cols());
         for (unsigned dy = 0; dy < r; ++dy)
             for (unsigned dx = 0; dx < s; ++dx)
                 elems.push_back({dy, dx, 0, 1, 0, 1, cchunk});
@@ -142,7 +137,7 @@ struct PoolWalk
     run(const bs::VecSlice &cur, Body &&body) const
     {
         common::ArenaScope scratch;
-        std::span<uint64_t> iv = scratch.alloc(lanes);
+        std::span<uint64_t> iv = scratch.alloc(cchunk);
         dnn::QTensor out(in.channels(), oh, ow, in.params());
         for (unsigned c0 = 0; c0 < in.channels(); c0 += cchunk) {
             const unsigned n = std::min(in.channels(), c0 + cchunk) - c0;
@@ -171,7 +166,7 @@ struct PoolWalk
     [[maybe_unused]] sram::ownership::ClaimScope own;
     sram::Array &arr;
     const dnn::QTensor &in;
-    unsigned stride, cchunk, lanes, oh, ow;
+    unsigned stride, cchunk, oh, ow;
     int ph, pw;
     std::vector<mapping::LaneRun> elems;
 };
@@ -550,7 +545,6 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
     nc_assert(ws <= 256, "window too large");
     const PoolWalk walk(cc, scratch_array, "avgPool kernel", in, r, s,
                         stride, same_pad);
-    const unsigned lanes = walk.lanes;
 
     sram::Array &arr = walk.arr;
     bs::RowAllocator rows(cc.geometry().arrayRows);
@@ -573,7 +567,7 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
         twork = rows.alloc(dbits + 1);
         dwork = rows.alloc(dbits + 1);
         if (!pow2_full) {
-            bs::storeSplat(arr, den, ws, lanes);
+            bs::storeSplat(arr, den, ws, walk.cchunk);
             den_cur = ws;
         }
     }
@@ -594,7 +588,7 @@ Executor::avgPool(const dnn::QTensor &in, unsigned r, unsigned s,
             return acc;
         }
         if (count != den_cur) {
-            bs::storeSplat(arr, den, count, lanes);
+            bs::storeSplat(arr, den, count, walk.cchunk);
             den_cur = count;
         }
         bs::divide(arr, acc, den, quot, rwork, twork, dwork);
@@ -606,15 +600,21 @@ std::vector<uint8_t>
 Executor::requantize(const std::vector<uint32_t> &acc, uint8_t mult,
                      unsigned shift, uint64_t scratch_array)
 {
-    const unsigned vbits = 32;
-    const unsigned gbits = 8;
-    unsigned cols = cc.geometry().arrayCols;
+    // Per chunk: the accumulators and the broadcast multiplier stream
+    // in, the requant program multiplies, shifts and clamps in place
+    // (§IV-D), and the product's low byte is read out.
+    const unsigned bits = 8;
+    const mapping::RequantRowLayout rows =
+        mapping::makeRequantRowLayout(cc.geometry());
+    const std::vector<Instruction> prog =
+        verify::requantProgram(rows, shift, bits);
+    const unsigned cols = cc.geometry().arrayCols;
 
+    // Race detector (debug): the kernel owns its scratch array.
+    [[maybe_unused]] sram::ownership::ClaimScope own(
+        cc.ownershipRegistry(), sram::ownership::Range{scratch_array, 1},
+        0, "requantize kernel");
     sram::Array &arr = cc.array(scratch_array);
-    bs::RowAllocator rows(cc.geometry().arrayRows);
-    bs::VecSlice v = rows.alloc(vbits);
-    bs::VecSlice g = rows.alloc(gbits);
-    bs::VecSlice prod = rows.alloc(vbits + gbits);
 
     common::ArenaScope scratch;
     std::span<uint64_t> vv = scratch.alloc(cols);
@@ -623,64 +623,41 @@ Executor::requantize(const std::vector<uint32_t> &acc, uint8_t mult,
         size_t n = std::min<size_t>(cols, acc.size() - base);
         for (size_t i = 0; i < n; ++i)
             vv[i] = acc[base + i];
-        bs::storeVector(arr, v, vv.first(n));
-        bs::storeSplat(arr, g, mult, n);
-        bs::multiply(arr, v, g, prod);
-        bs::shiftDown(arr, prod, shift);
-        // In-array clamp: lanes whose value exceeds 8 bits saturate
-        // to 255 (the §IV-D clamp, done with a tag-OR overflow fold).
-        bs::saturate(arr, prod, 8);
+        bs::storeVector(arr, rows.acc, vv.first(n));
+        bs::storeSplat(arr, rows.gain, mult, n);
+        runProgram(arr, prog);
         for (size_t i = 0; i < n; ++i) {
             out[base + i] = static_cast<uint8_t>(bs::loadLane(
-                arr, prod.slice(0, 8), static_cast<unsigned>(i)));
+                arr, rows.prod.slice(0, bits), static_cast<unsigned>(i)));
         }
     }
     return out;
 }
 
-Executor::PreparedEltwise
-Executor::prepareEltwise(uint8_t mult, unsigned shift,
-                         uint64_t scratch_array)
-{
-    PreparedEltwise p;
-    p.ex = this;
-    p.mult = mult;
-    p.sh = shift;
-    p.scratch = scratch_array;
-    cc.array(scratch_array); // materialize up front
-
-    // Row carve-up and merge program, fixed once: the shared
-    // mapping-layer map (two operand bytes, the 9-bit sum, the
-    // broadcast multiplier, the 17-bit product shifted and saturated
-    // in place) and sat8(((a + b) * mult) >> shift) over it — widen
-    // add, multiply by the calibrated 8-bit scalar, truncating shift,
-    // in-array clamp (the §IV-D sequence, one lane per element).
-    p.rows = mapping::makeEltwiseRowLayout(cc.geometry());
-    p.prog = verify::eltwiseMergeProgram(p.rows, shift);
-    return p;
-}
-
 std::vector<uint8_t>
-Executor::PreparedEltwise::run(const std::vector<uint8_t> &a,
-                               const std::vector<uint8_t> &b,
-                               uint64_t array_offset)
+Executor::eltwiseAdd(const std::vector<uint8_t> &a,
+                     const std::vector<uint8_t> &b, uint8_t mult,
+                     unsigned shift, uint64_t scratch_array)
 {
-    const unsigned bits = 8;
-    cache::ComputeCache &cc = ex->cc;
     nc_assert(a.size() == b.size(),
               "eltwise operands differ: %zu vs %zu elements", a.size(),
               b.size());
+    // The §IV-D merge, one lane per element: widen add, multiply by
+    // the calibrated 8-bit scalar, truncating shift, in-array clamp.
+    const unsigned bits = 8;
+    const mapping::EltwiseRowLayout rows =
+        mapping::makeEltwiseRowLayout(cc.geometry());
+    const std::vector<Instruction> prog =
+        verify::eltwiseMergeProgram(rows, shift, bits);
+    const unsigned cols = cc.geometry().arrayCols;
 
-    unsigned cols = cc.geometry().arrayCols;
-    // Race detector (debug): the merge owns its branch's scratch
-    // array, displaced into the running image slot.
+    // Race detector (debug): the merge owns its scratch array.
     [[maybe_unused]] sram::ownership::ClaimScope own(
-        cc.ownershipRegistry(),
-        sram::ownership::Range{scratch + array_offset, 1}, 0,
-        "eltwise merge kernel");
-    sram::Array &arr = cc.array(scratch + array_offset);
+        cc.ownershipRegistry(), sram::ownership::Range{scratch_array, 1},
+        0, "eltwise merge kernel");
+    sram::Array &arr = cc.array(scratch_array);
 
-    // The multiplier is one broadcast scalar per run (other layers
+    // The multiplier is one broadcast scalar per call (other layers
     // may have scribbled on the scratch array in between).
     bs::storeSplat(arr, rows.gain, mult, cols);
 
@@ -698,19 +675,10 @@ Executor::PreparedEltwise::run(const std::vector<uint8_t> &a,
         runProgram(arr, prog);
         for (size_t i = 0; i < n; ++i) {
             out[base + i] = static_cast<uint8_t>(bs::loadLane(
-                arr, rows.prod.slice(0, bits),
-                static_cast<unsigned>(i)));
+                arr, rows.prod.slice(0, bits), static_cast<unsigned>(i)));
         }
     }
     return out;
-}
-
-std::vector<uint8_t>
-Executor::eltwiseAdd(const std::vector<uint8_t> &a,
-                     const std::vector<uint8_t> &b, uint8_t mult,
-                     unsigned shift)
-{
-    return prepareEltwise(mult, shift, kHelperScratch).run(a, b);
 }
 
 } // namespace nc::core

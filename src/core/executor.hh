@@ -12,16 +12,16 @@
  * cycle counters, which keeps the functional and analytic models
  * honest with each other.
  *
- * Conv windows, eltwise merges and max-pool folds are instruction
- * streams: each kernel builds its program once from the canonical
- * builders (program_verify.hh) and every array runs it through the
- * per-bank FSM (controller.hh) — the stream the compile-time
- * verifier proves is the stream that executes. Requantization and
- * average pooling have no canonical program and issue ALU calls
- * directly. The pools, requantization and the eltwise merge run
- * serially on the scratch array their caller names; the two pools
- * share one walk over (channel pass, output row, output column),
- * each passing only its per-window body.
+ * Conv windows, requantization, eltwise merges and max-pool folds run
+ * canonical programs (program_verify.hh) through the per-bank FSM
+ * (controller.hh) — the stream the compile-time verifier proves is
+ * the stream that executes. Only the conv is prepared: it keeps its
+ * program and pinned filters from one run to the next. The scratch
+ * kernels run serially on the scratch array their caller names, each
+ * built per call from a mapping row layout, a program builder and
+ * runProgram; average pooling alone still issues ALU calls directly.
+ * The two pools share one walk over (channel pass, output row,
+ * output column), each passing only its per-window body.
  *
  * Parallelism: conv filter pinning and conv passes fan out over a
  * common::ThreadPool. A conv pass runs its (filter batch, channel
@@ -81,11 +81,10 @@ namespace nc::core
 {
 
 /**
- * Executes quantized layers on compute-cache arrays. The pool and
- * requantize kernels run on the scratch array their caller names
- * (kHelperScratch when it names none); eltwiseAdd always scribbles
- * on kHelperScratch, and the prepared kernels run on the arrays their
- * caller placed.
+ * Executes quantized layers on compute-cache arrays. The scratch
+ * kernels (pools, requantization, the eltwise merge) run on the
+ * scratch array their caller names (kHelperScratch when it names
+ * none), and the prepared conv runs on the arrays its caller placed.
  */
 class Executor
 {
@@ -214,60 +213,18 @@ class Executor
                              bool resident = true);
 
     /**
-     * A prepared residual merge: out = sat8(((a + b) * mult) >>
-     * shift) lane-parallel on the scratch array, with the row layout
-     * and the four-instruction merge program fixed once. run() streams
-     * operand chunks through the array's bit lines and runs the
-     * program on each.
-     */
-    class PreparedEltwise
-    {
-      public:
-        /** @p array_offset relocates the run onto the image slot's
-         * scratch replica (scratch + offset); the carve-up is
-         * position-independent, so no per-replica state exists. */
-        std::vector<uint8_t> run(const std::vector<uint8_t> &a,
-                                 const std::vector<uint8_t> &b,
-                                 uint64_t array_offset = 0);
-
-        uint8_t multiplier() const { return mult; }
-        unsigned shift() const { return sh; }
-        /** The shared merge carve-up program() addresses. */
-        const mapping::EltwiseRowLayout &rowLayout() const
-        {
-            return rows;
-        }
-        /** The merge program run per operand chunk (program_verify
-         * checks exactly this stream). */
-        const std::vector<Instruction> &program() const { return prog; }
-
-      private:
-        friend class Executor;
-        PreparedEltwise() = default;
-
-        Executor *ex = nullptr;
-        uint8_t mult = 1;
-        unsigned sh = 0;
-        uint64_t scratch = 0;
-        mapping::EltwiseRowLayout rows;
-        std::vector<Instruction> prog;
-    };
-
-    /**
-     * Compile-once half of eltwiseAdd(): fix the row carve-up on the
-     * scratch array at @p scratch_array and capture the calibrated
-     * requantization scalars.
-     */
-    PreparedEltwise prepareEltwise(uint8_t mult, unsigned shift,
-                                   uint64_t scratch_array);
-
-    /**
-     * Quantized residual merge of two equal-length byte vectors (one
-     * prepare + run). Ground truth: dnn::eltwiseAddQuant.
+     * Quantized residual merge of two equal-length byte vectors on
+     * @p scratch_array: out = sat8(((a + b) * mult) >> shift) through
+     * the canonical merge program, one lane per element, the
+     * multiplier splat once per call and the operands streamed in
+     * chunks of the array's bit lines. Ground truth:
+     * dnn::eltwiseAddQuant.
      */
     std::vector<uint8_t> eltwiseAdd(const std::vector<uint8_t> &a,
                                     const std::vector<uint8_t> &b,
-                                    uint8_t mult, unsigned shift);
+                                    uint8_t mult, unsigned shift,
+                                    uint64_t scratch_array =
+                                        kHelperScratch);
 
     /**
      * Quantized convolution (unsigned, zero-point-free): plan, prepare
@@ -307,11 +264,12 @@ class Executor
 
     /**
      * In-cache requantization (§IV-D) on @p scratch_array: q = (acc *
-     * mult) >> shift for every accumulator, via bit-serial multiply
-     * and shift, with the CPU-provided 8-bit multiplier broadcast to
-     * every lane. The result is truncated (the hardware sequence has
-     * no rounding add) and saturated to 8 bits in the array. Ground
-     * truth: dnn::requantQuant.
+     * mult) >> shift for every accumulator, through the canonical
+     * requant program (multiply, shift, clamp), with the CPU-provided
+     * 8-bit multiplier broadcast to every lane of each chunk. The
+     * result is truncated (the hardware sequence has no rounding add)
+     * and saturated to 8 bits in the array. Ground truth:
+     * dnn::requantQuant.
      */
     std::vector<uint8_t> requantize(const std::vector<uint32_t> &acc,
                                     uint8_t mult, unsigned shift,

@@ -4,10 +4,10 @@
  * core::Instruction streams.
  *
  * Engine::compile() runs it unconditionally over every program the
- * compile pass produced — each prepared conv and eltwise kernel's own
- * stream verbatim, and each max pool's fold program, which the
- * kernel runs prefixes of — so a malformed stream dies at compile
- * time with the layer name and instruction index, never as a
+ * layers run — each prepared conv's own stream verbatim, and each
+ * requant, eltwise merge and max-pool fold program built with the
+ * kernel's builder and scalars — so a malformed stream dies at
+ * compile time with the layer name and instruction index, never as a
  * corrupted activation ten layers later. The kernels run those very
  * streams through the per-bank FSM (controller.hh), which checks
  * every instruction's charged cycles against instructionCycles() at
@@ -24,10 +24,15 @@
  *  4. Carry/tag latch discipline: a predicated write-back or a
  *     carry-consuming Add must be preceded by an op that defines the
  *     latch it reads, with no clobbering op in between.
- *  5. Static cycle accounting: the summed per-opcode cycle model
- *     must equal the CostModel's analytic charge bit-exact — the
- *     compile-time proof that the functional and analytic models
- *     cannot drift.
+ *  5. Static cycle accounting: the summed per-opcode cycle model of
+ *     each conv window, eltwise merge and max-pool fold program must
+ *     equal its CostModel closed form bit-exact
+ *     (convWindow/eltwise/maxPoolWindowProgramCycles, which only this
+ *     check calls), so a builder cannot drift from its formula. The
+ *     stage prices the analytic model reports are separate formulas
+ *     that differ from these (ROADMAP direction 2 lists how).
+ *     Requantization is exempt: its program charges 392 cycles per
+ *     chunk, its stage price 424 per pass plus a min/max search.
  *
  * Violations are fatal (nc_fatal) naming the layer, the instruction
  * index, and the offending operand slice.
@@ -80,7 +85,6 @@ struct ProgramContext
     unsigned arrayRows = 0;   ///< word lines per array
     unsigned guardRow = bitserial::kNoRow; ///< reserved zero row
     std::vector<bitserial::VecSlice> initialDefs;
-    bitserial::AluConfig alu;
 };
 
 /**
@@ -93,9 +97,11 @@ uint64_t instructionCycles(const Instruction &inst,
 
 /**
  * Abstractly interpret @p program under @p ctx, proving check
- * classes 1-4 and accumulating the class-5 cycle sum. Fatal on the
- * first violation, naming ctx.layer, the instruction index, and the
- * operand slice. Returns the measured stats.
+ * classes 1-4 and accumulating the class-5 cycle sum at the ALU's
+ * native timing (bitserial::AluConfig{}, what runProgram charges by
+ * default). Fatal on the first violation, naming ctx.layer, the
+ * instruction index, and the operand slice. Returns the measured
+ * stats.
  */
 ProgramStats verifyProgram(const ProgramContext &ctx,
                            const std::vector<Instruction> &program);
@@ -103,8 +109,8 @@ ProgramStats verifyProgram(const ProgramContext &ctx,
 /** @name Canonical per-layer programs
  * One output window / element of each layer kind as an instruction
  * stream over the shared mapping row layouts. These builders are the
- * only source of layer programs: the functional kernels build their
- * streams from them once and run them on every array of a pass.
+ * only source of layer programs: the kernels build their streams
+ * from them and run them on every array of a pass.
  */
 /// @{
 /** zero partial, rs MACs, one cross-lane reduction (Figure 10). */
@@ -115,6 +121,11 @@ convWindowProgram(const mapping::ConvRowLayout &rows,
 std::vector<Instruction>
 eltwiseMergeProgram(const mapping::EltwiseRowLayout &rows,
                     unsigned shift, unsigned bits = 8);
+/** Multiply, truncating shift, clamp: the merge's tail over a conv
+ * accumulator (§IV-D requantization). */
+std::vector<Instruction>
+requantProgram(const mapping::RequantRowLayout &rows, unsigned shift,
+               unsigned bits = 8);
 /** Seed the running max, then window-1 MaxInto folds (§IV-D). */
 std::vector<Instruction>
 maxPoolWindowProgram(const mapping::PoolRowLayout &rows,
@@ -124,7 +135,7 @@ maxPoolWindowProgram(const mapping::PoolRowLayout &rows,
 /**
  * Check class 5's comparator: fatal (naming the layer and program
  * kind) unless the interpreter's summed cycle model equals the
- * CostModel's analytic charge bit-exact.
+ * program's CostModel closed form bit-exact.
  */
 void crossCheckProgramCostOrDie(const std::string &layer,
                                 const char *kind,
@@ -145,7 +156,7 @@ void requireAuditedBand(const std::string &layer, uint64_t base,
 struct LayerProgramReport
 {
     std::string layer;
-    std::string kind; ///< "conv", "eltwise", "maxpool"
+    std::string kind; ///< "conv", "requant", "eltwise", "maxpool"
     ProgramStats stats;
 };
 
@@ -157,10 +168,11 @@ struct VerifySummary
 };
 
 /**
- * Verify every prepared program of @p model: each conv and eltwise
- * kernel's own stream verbatim and each max pool's fold program,
- * plus the band containment check against the audited placement and
- * the bit-exact CostModel cycle cross-check (8-bit /
+ * Verify every program @p model runs: each conv's own stream verbatim
+ * and its requant program, each eltwise merge and max-pool fold, the
+ * scratch programs built with the layer's scalars; plus the band
+ * containment check against the audited placement (conv bands and
+ * scratch arrays) and the class-5 cycle cross-check (8-bit /
  * 24-bit-accumulator configs). A Reference model and average pools
  * (no in-array program) are skipped. Fatal on any violation;
  * returns coverage counters, and per-layer stats through @p reports
@@ -175,9 +187,9 @@ verifyCompiledModelOrDie(const CompiledModel &model,
  * The analytic-compile twin of verifyCompiledModelOrDie(): no
  * placement exists, so every op the functional mapper could place
  * (planFunctionalConv fits) gets its canonical program synthesized
- * on @p cfg's geometry and verified, cycle cross-check included.
- * Ops with no functional mapping are skipped — the analytic model
- * prices them without a program.
+ * on @p cfg's geometry and verified, cycle cross-check included —
+ * the requant program once, after the first such conv. Ops with no
+ * functional mapping are skipped (priced without a program).
  */
 VerifySummary
 verifyNetworkProgramsOrDie(const dnn::Network &net,

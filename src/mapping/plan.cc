@@ -10,7 +10,7 @@ namespace nc::mapping
 
 ConvPlan
 planConv(const dnn::ConvOp &op, const cache::Geometry &geom,
-         const TransformLimits &lim, const RowBudget &budget)
+         const TransformLimits &lim)
 {
     constexpr unsigned bits = 8;
 
@@ -52,7 +52,7 @@ planConv(const dnn::ConvOp &op, const cache::Geometry &geom,
     plan.filterRows = plan.ft.filterRows(bits);
     plan.inputRows = plan.ft.inputRows(bits);
     unsigned used =
-        plan.filterRows + plan.inputRows + budget.overhead();
+        plan.filterRows + plan.inputRows + RowBudget{}.overhead();
     if (used > geom.arrayRows) {
         nc_fatal("layout of '%s' needs %u rows, array has %u",
                  op.name.c_str(), used, geom.arrayRows);
@@ -293,6 +293,18 @@ makeEltwiseRowLayout(const cache::Geometry &geom)
     l.acc = rows.alloc(bits + 1);
     l.gain = rows.alloc(bits);
     l.prod = rows.alloc((bits + 1) + bits); // acc.bits + gain.bits
+    l.zrow = rows.zeroRow();
+    return l;
+}
+
+RequantRowLayout
+makeRequantRowLayout(const cache::Geometry &geom)
+{
+    RequantRowLayout l;
+    bitserial::RowAllocator rows(geom.arrayRows);
+    l.acc = rows.alloc(32);
+    l.gain = rows.alloc(8);
+    l.prod = rows.alloc(32 + 8); // acc.bits + gain.bits
     l.zrow = rows.zeroRow();
     return l;
 }

@@ -85,8 +85,7 @@ struct PoolPlan
 
 /** Build the plan of @p op on @p geom (8-bit elements). */
 ConvPlan planConv(const dnn::ConvOp &op, const cache::Geometry &geom,
-                  const TransformLimits &lim = {},
-                  const RowBudget &budget = {});
+                  const TransformLimits &lim = {});
 
 PoolPlan planPool(const dnn::PoolOp &op, const cache::Geometry &geom);
 
@@ -226,6 +225,23 @@ struct EltwiseRowLayout
 
 /** Build the eltwise carve-up on @p geom's array shape. */
 EltwiseRowLayout makeEltwiseRowLayout(const cache::Geometry &geom);
+
+/**
+ * The per-array carve-up of §IV-D requantization,
+ * sat8((acc * mult) >> shift), which the requantize kernel and the
+ * canonical requant program both address: the merge's tail over a
+ * 32-bit accumulator.
+ */
+struct RequantRowLayout
+{
+    bitserial::VecSlice acc;  ///< the conv accumulator (32 bits)
+    bitserial::VecSlice gain; ///< broadcast requant multiplier
+    bitserial::VecSlice prod; ///< acc.bits + gain.bits product
+    unsigned zrow = 0;        ///< reserved all-zero word line
+};
+
+/** Build the requantization carve-up on @p geom's array shape. */
+RequantRowLayout makeRequantRowLayout(const cache::Geometry &geom);
 
 /**
  * The per-array carve-up of the broadcast max-pool fold (§IV-D

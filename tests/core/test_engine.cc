@@ -310,6 +310,35 @@ TEST(Engine, ReferenceBackendRunsShapesBeyondTheArrayMapping)
     EXPECT_EQ(res.output.data(), want);
 }
 
+TEST(Engine, PoolsRunOnANonPowerOfTwoArrayWidth)
+{
+    // On 192-lane arrays a pool pass over 150 channels holds 150
+    // lanes, with no padding to a power of two: a conv from 4 to 150
+    // channels feeds a 2x2/2 max pool and, in a second net, a 3x3/1
+    // SAME average pool (edge windows divide by their valid count).
+    core::EngineOptions opts;
+    opts.config.geometry.arrayCols = 192;
+    opts.threads = 2;
+    core::EngineOptions ref = opts;
+    ref.backend = BackendKind::Reference;
+
+    for (bool avg : {false, true}) {
+        dnn::Network net;
+        net.name = avg ? "wide-avg" : "wide-max";
+        net.stages.push_back(dnn::singleOpStage(
+            "conv", dnn::conv("conv", 8, 8, 4, 3, 3, 150)));
+        net.stages.push_back(dnn::singleOpStage(
+            "pool", avg ? dnn::avgPool("pool", 8, 8, 150, 3, 3, 1, true)
+                        : dnn::maxPool("pool", 8, 8, 150, 2, 2, 2)));
+        Rng rng(41);
+        auto in = dnn::randomQTensor(rng, 4, 8, 8);
+        auto got = core::Engine(opts).compile(net).run(in).output;
+        auto want = core::Engine(ref).compile(net).run(in).output;
+        ASSERT_EQ(got.channels(), 150u) << net.name;
+        EXPECT_EQ(got.data(), want.data()) << net.name;
+    }
+}
+
 TEST(Engine, ParseBackendKindRoundTrips)
 {
     for (auto kind :

@@ -4,12 +4,30 @@
 
 #include "common/rng.hh"
 #include "core/executor.hh"
+#include "core/program_verify.hh"
 
 namespace
 {
 
 using namespace nc;
 using core::Executor;
+namespace bs = bitserial;
+namespace verify = core::verify;
+
+/** The static cycle sum the compile-time verifier proves for
+ * @p prog, with @p defs streamed in before it runs. */
+uint64_t
+provenCycles(const cache::Geometry &geom, unsigned guard_row,
+             std::vector<bs::VecSlice> defs,
+             const std::vector<core::Instruction> &prog)
+{
+    verify::ProgramContext ctx;
+    ctx.layer = "scratch kernel";
+    ctx.arrayRows = geom.arrayRows;
+    ctx.guardRow = guard_row;
+    ctx.initialDefs = std::move(defs);
+    return verify::verifyProgram(ctx, prog).staticCycles;
+}
 
 dnn::QTensor
 randomInput(Rng &rng, unsigned c, unsigned h, unsigned w)
@@ -117,6 +135,56 @@ TEST(ExecutorRequantize, BatchesBeyondOneArrayWidth)
                                255);
         EXPECT_EQ(q[i], want) << i;
     }
+}
+
+TEST(ExecutorRequantize, ChargesTheVerifiedProgramPerChunk)
+{
+    // 600 accumulators are three chunks of 256 lanes; each runs the
+    // canonical requant program once, so a fresh scratch array is
+    // charged exactly three static sums.
+    Rng rng(15);
+    cache::ComputeCache cc;
+    Executor ex(cc);
+    std::vector<uint32_t> acc(600);
+    for (auto &a : acc)
+        a = static_cast<uint32_t>(rng.uniformBits(24));
+    const uint8_t mult = 211;
+    const unsigned shift = 17;
+    const mapping::RequantRowLayout rows =
+        mapping::makeRequantRowLayout(cc.geometry());
+    const uint64_t per_chunk =
+        provenCycles(cc.geometry(), rows.zrow, {rows.acc, rows.gain},
+                     verify::requantProgram(rows, shift));
+    EXPECT_EQ(per_chunk, 392u); // 312 multiply + 40 shift + 40 clamp
+
+    const uint64_t scratch = 3;
+    EXPECT_EQ(ex.requantize(acc, mult, shift, scratch),
+              dnn::requantQuant(acc, mult, shift));
+    EXPECT_EQ(cc.array(scratch).computeCycles(), 3 * per_chunk);
+}
+
+TEST(ExecutorEltwise, ChargesTheVerifiedProgramPerChunk)
+{
+    Rng rng(16);
+    cache::ComputeCache cc;
+    Executor ex(cc);
+    std::vector<uint8_t> a(300), b(300); // two chunks of 256 lanes
+    for (size_t i = 0; i < a.size(); ++i) {
+        a[i] = static_cast<uint8_t>(rng.uniformBits(8));
+        b[i] = static_cast<uint8_t>(rng.uniformBits(8));
+    }
+    const uint8_t mult = 128;
+    const unsigned shift = 8;
+    const mapping::EltwiseRowLayout rows =
+        mapping::makeEltwiseRowLayout(cc.geometry());
+    const uint64_t per_chunk = provenCycles(
+        cc.geometry(), rows.zrow, {rows.va, rows.vb, rows.gain},
+        verify::eltwiseMergeProgram(rows, shift));
+
+    const uint64_t scratch = 2;
+    EXPECT_EQ(ex.eltwiseAdd(a, b, mult, shift, scratch),
+              dnn::eltwiseAddQuant(a, b, mult, shift));
+    EXPECT_EQ(cc.array(scratch).computeCycles(), 2 * per_chunk);
 }
 
 TEST(ExecutorRequantize, TracksCpuRequantizeWithinTruncation)

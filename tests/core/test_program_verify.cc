@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitserial/extensions.hh"
 #include "cache/compute_cache.hh"
 #include "core/controller.hh"
 #include "core/cost_model.hh"
@@ -26,6 +27,19 @@ using core::Instruction;
 using core::Opcode;
 namespace bs = bitserial;
 namespace verify = core::verify;
+
+/** The context the verifier proves conv1's requant program under:
+ * the accumulators and the gain are streamed in first. */
+verify::ProgramContext
+requantCtx(const mapping::RequantRowLayout &rows)
+{
+    verify::ProgramContext ctx;
+    ctx.layer = "conv1";
+    ctx.arrayRows = 256;
+    ctx.guardRow = rows.zrow;
+    ctx.initialDefs = {rows.acc, rows.gain};
+    return ctx;
+}
 
 /** A 256-row context with rows [0,32) predefined and row 255 guarded. */
 verify::ProgramContext
@@ -102,6 +116,18 @@ TEST(ProgramVerifyDeath, SenseBeforeDefDiesWithRowAndIndex)
                 ::testing::ExitedWithCode(1),
                 "inst 0 \\(add\\): b reads row 40 \\(bit 0 of "
                 "\\[40,\\+8\\)\\) before any def");
+
+    // A requant stream run without its gain splat: the multiply
+    // senses the multiplier band before anything defined it.
+    const mapping::RequantRowLayout rows =
+        mapping::makeRequantRowLayout(cache::Geometry::xeonE5_35MB());
+    verify::ProgramContext rq = requantCtx(rows);
+    rq.initialDefs = {rows.acc};
+    EXPECT_EXIT(verify::verifyProgram(rq,
+                                      verify::requantProgram(rows, 8)),
+                ::testing::ExitedWithCode(1),
+                "program verify 'conv1': inst 0 \\(multiply\\): b reads "
+                "row 32 \\(bit 0 of \\[32,\\+8\\)\\) before any def");
 }
 
 TEST(ProgramVerify, WritesBecomeDefsForLaterReads)
@@ -131,6 +157,22 @@ TEST(ProgramVerifyDeath, GuardRowWriteDies)
                 ::testing::ExitedWithCode(1),
                 "inst 0 \\(zero\\): out slice \\[248,\\+8\\) writes "
                 "the reserved guard row 255");
+
+    // A requant stream on a carve-up that reserved its zero row right
+    // under the product band, with a clamp that reads the product one
+    // row low: the multiply and the shift stay clear of the guard
+    // row, but the clamp's field starts on it.
+    mapping::RequantRowLayout rows =
+        mapping::makeRequantRowLayout(cache::Geometry::xeonE5_35MB());
+    rows.zrow = rows.prod.base;
+    rows.prod.base += 1;
+    std::vector<Instruction> rq = verify::requantProgram(rows, 8);
+    ASSERT_EQ(rq.back().op, Opcode::Saturate);
+    rq.back().a.base = rows.zrow;
+    EXPECT_EXIT(verify::verifyProgram(requantCtx(rows), rq),
+                ::testing::ExitedWithCode(1),
+                "program verify 'conv1': inst 2 \\(saturate\\): a slice "
+                "\\[40,\\+8\\) writes the reserved guard row 40");
 }
 
 // ---- Check class 4: carry/tag latch discipline ----------------------
@@ -297,6 +339,31 @@ TEST(ProgramVerify, CanonicalMaxPoolProgramMatchesCostModel)
                   costs.maxPoolWindowProgramCycles(window))
             << "window " << window;
     }
+}
+
+TEST(ProgramVerify, CanonicalRequantProgramIsExemptFromTheCostCheck)
+{
+    // Requantization's program verifies clean, but the CostModel
+    // prices the phase with its own per-pass formula (an 8 x 32
+    // multiply, a 32-bit shift and add), so check class 5 exempts it.
+    cache::Geometry geom = cache::Geometry::xeonE5_35MB();
+    core::CostModel costs(geom);
+    const mapping::RequantRowLayout rows =
+        mapping::makeRequantRowLayout(geom);
+    EXPECT_EQ(rows.acc.base, 0u);
+    EXPECT_EQ(rows.gain.base, 32u);
+    EXPECT_EQ(rows.prod.base, 40u);
+    EXPECT_EQ(rows.prod.bits, 40u);
+
+    verify::ProgramStats st = verify::verifyProgram(
+        requantCtx(rows), verify::requantProgram(rows, /*shift=*/19));
+    EXPECT_EQ(st.instructions, 3u);
+    EXPECT_EQ(st.defs, 40u); // the product band
+    EXPECT_EQ(st.staticCycles, bs::implMulCycles(32, 8) +
+                                   bs::implShiftCycles(40) +
+                                   bs::implSaturateCycles(40, 8));
+    EXPECT_EQ(st.staticCycles, 392u);
+    EXPECT_EQ(costs.quantCyclesPerPass(), 424.0);
 }
 
 // ---- Static account vs what the runner actually charges -------------

@@ -89,6 +89,46 @@ TEST(VerifyProperties, PerLayerReportsCoverEveryProgram)
     }
 }
 
+TEST(VerifyProperties, RequantProgramPerConvOnFunctionalOnePerAnalytic)
+{
+    // A functional compile proves each conv's requant program with the
+    // layer's own shift (its row right after the conv's), an analytic
+    // compile one for the whole network.
+    for (const dnn::Network &net : randomNets()) {
+        size_t convs = 0;
+        for (const dnn::Stage &stage : net.stages)
+            for (const dnn::Branch &branch : stage.branches)
+                for (const dnn::Op &op : branch.ops)
+                    convs += op.isConv();
+        ASSERT_GT(convs, 0u) << net.name;
+
+        core::EngineOptions opts;
+        opts.backend = BackendKind::Functional;
+        opts.threads = 2;
+        auto model = core::Engine(opts).compile(net);
+        std::vector<core::verify::LayerProgramReport> reports;
+        core::verify::verifyCompiledModelOrDie(model, &reports);
+        size_t requants = 0;
+        for (size_t i = 0; i < reports.size(); ++i) {
+            if (reports[i].kind != "requant")
+                continue;
+            ++requants;
+            ASSERT_GT(i, 0u) << net.name;
+            EXPECT_EQ(reports[i - 1].kind, "conv") << reports[i].layer;
+            EXPECT_EQ(reports[i - 1].layer, reports[i].layer);
+        }
+        EXPECT_EQ(requants, convs) << net.name;
+
+        reports.clear();
+        core::verify::verifyNetworkProgramsOrDie(net, opts.config,
+                                                 &reports);
+        requants = 0;
+        for (const auto &r : reports)
+            requants += r.kind == "requant";
+        EXPECT_EQ(requants, 1u) << net.name;
+    }
+}
+
 TEST(VerifyProperties, StreamingRegimeCompilesVerified)
 {
     // 6 arrays force the streaming regime: bands time-share across
